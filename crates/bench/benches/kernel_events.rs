@@ -11,23 +11,15 @@ use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use daosim_kernel::calendar::{HeapCalendar, TimerWheel};
+use daosim_kernel::rng::splitmix64_next;
 use daosim_kernel::{Sim, SimDuration};
-
-/// Deterministic 64-bit stream for timer deltas (splitmix64).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Timer churn: keep `pending` events in flight; each pop schedules a
 /// replacement a pseudo-random delta ahead — the steady state of a
 /// large simulation. Deltas are biased across wheel levels the way
 /// sim workloads are (mostly near, a tail of far-future deadlines).
 fn churn_delta(rng: &mut u64) -> u64 {
-    let r = splitmix64(rng);
+    let r = splitmix64_next(rng);
     match r % 100 {
         0..=79 => 1 + (r >> 8) % (1 << 12),  // µs-scale service times
         80..=97 => 1 + (r >> 8) % (1 << 24), // ms-scale backoffs
@@ -103,7 +95,7 @@ fn bench_task_storage(c: &mut Criterion) {
                 .collect();
             let mut rng = 0xFEEDu64;
             for _ in 0..TASK_POLLS {
-                let id = splitmix64(&mut rng) % TASK_SLOTS as u64;
+                let id = splitmix64_next(&mut rng) % TASK_SLOTS as u64;
                 let mut fut = tasks.remove(&id).unwrap();
                 *fut += 1;
                 tasks.insert(id, fut);
@@ -117,7 +109,7 @@ fn bench_task_storage(c: &mut Criterion) {
                 (0..TASK_SLOTS).map(|_| Some(Box::new(0u64))).collect();
             let mut rng = 0xFEEDu64;
             for _ in 0..TASK_POLLS {
-                let id = (splitmix64(&mut rng) % TASK_SLOTS as u64) as usize;
+                let id = (splitmix64_next(&mut rng) % TASK_SLOTS as u64) as usize;
                 let mut fut = tasks[id].take().unwrap();
                 *fut += 1;
                 tasks[id] = Some(fut);

@@ -11,7 +11,8 @@ use bytes::Bytes;
 
 use crate::key::FieldKey;
 
-pub const MIB: u64 = 1024 * 1024;
+pub const KIB: u64 = 1024;
+pub const MIB: u64 = 1024 * KIB;
 
 /// Upper-air parameters a real IFS run outputs, used round-robin.
 pub const PARAMS: [&str; 10] = ["t", "u", "v", "q", "w", "z", "r", "d", "vo", "o3"];

@@ -4,7 +4,7 @@
 use daosim_cluster::{Calibration, ClusterSpec};
 use daosim_core::fieldio::{FieldIoConfig, FieldIoMode};
 use daosim_core::patterns::{run_pattern_a, run_pattern_b, PatternConfig};
-use daosim_core::workload::Contention;
+use daosim_core::workload::{Contention, MIB};
 use daosim_ior::{run_ior, IorParams};
 use daosim_kernel::SimDuration;
 use daosim_net::mpi::{run_p2p, MpiP2pConfig};
@@ -12,8 +12,6 @@ use daosim_net::ProviderProfile;
 use daosim_objstore::ObjectClass;
 
 use crate::harness::{gib, Report, Scale};
-
-const MIB: u64 = 1024 * 1024;
 
 pub fn all(scale: &Scale) -> Vec<Report> {
     vec![

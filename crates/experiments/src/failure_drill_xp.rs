@@ -19,35 +19,49 @@
 use daosim_cluster::{ClusterSpec, FaultPlan, RetryPolicy};
 use daosim_core::fieldio::FieldIoConfig;
 use daosim_core::metrics::anchored_bandwidth_timeline;
-use daosim_core::trace::{replay_detailed, Pacing, ReplayOutcome, Trace};
+use daosim_core::trace::{replay_detailed, Pacing, ReplayStats, Trace};
+use daosim_core::workload::MIB;
 use daosim_kernel::{SimDuration, SimTime};
 use daosim_objstore::ObjectClass;
 
 use crate::harness::{Report, Scale};
-
-const MIB: u64 = 1024 * 1024;
 
 /// Forecast-step cadence of the synthetic schedule.
 fn step_interval() -> SimDuration {
     SimDuration::from_millis(60)
 }
 
-/// Cluster under drill: one dual-engine server node, operational retry.
-fn drill_spec() -> ClusterSpec {
-    let mut spec = ClusterSpec::tcp(1, 2);
+/// Replays `trace` paced on `tcp(servers, clients)` with the
+/// operational retry policy while `plan` plays out. The whole lookup
+/// chain is replicated — arrays *and* index KVs (RP2), otherwise the
+/// index is a single point of failure and fields are lost with the
+/// engine even though their payload survives. Returns the replay stats
+/// and the `(t_ns, write GiB/s, read GiB/s)` availability timeline in
+/// `bucket`-wide rows.
+pub fn run_drill(
+    servers: u16,
+    clients: u16,
+    trace: &Trace,
+    plan: &FaultPlan,
+    bucket: SimDuration,
+) -> (ReplayStats, Vec<(u64, f64, f64)>) {
+    let mut spec = ClusterSpec::tcp(servers, clients);
     spec.retry = RetryPolicy::builder().operational().build();
-    spec
-}
-
-/// Replicate the whole lookup chain: arrays *and* index KVs, otherwise
-/// the index is a single point of failure and fields are lost with the
-/// engine even though their payload survives.
-fn drill_fieldio() -> FieldIoConfig {
-    FieldIoConfig {
+    let fieldio = FieldIoConfig {
         array_class: ObjectClass::RP2,
         kv_class: ObjectClass::RP2,
         ..Default::default()
-    }
+    };
+    let out = replay_detailed(spec, fieldio, trace, Pacing::Paced, Some(plan));
+    let end = SimTime::from_nanos((out.stats.end_secs * 1e9) as u64);
+    let writes = anchored_bandwidth_timeline(&out.write_events, bucket, end);
+    let reads = anchored_bandwidth_timeline(&out.read_events, bucket, end);
+    let timeline = writes
+        .iter()
+        .zip(&reads)
+        .map(|(w, r)| (w.t_ns, w.bw_gib, r.bw_gib))
+        .collect();
+    (out.stats, timeline)
 }
 
 /// The campaign: kill engine 0 just before the step-1 write wave (60 ms)
@@ -92,15 +106,8 @@ pub fn failure_drill(scale: &Scale) -> Report {
     let fields_per_step = (scale.ops_per_proc / 10).clamp(2, 6);
     let trace = Trace::synthesize_operational(procs, 4, fields_per_step, MIB, step_interval());
     let plan = drill_plan();
-    let out: ReplayOutcome = replay_detailed(
-        drill_spec(),
-        drill_fieldio(),
-        &trace,
-        Pacing::Paced,
-        Some(&plan),
-    );
-
-    let stats = out.stats;
+    let bucket = SimDuration::from_millis(30);
+    let (stats, timeline) = run_drill(1, 2, &trace, &plan, bucket);
     let r = stats.resilience;
     // Drill invariants: replication + retry must carry every field
     // through the campaign, and the campaign must actually have bitten.
@@ -112,22 +119,17 @@ pub fn failure_drill(scale: &Scale) -> Report {
     assert!(r.retries > 0, "the drill never exercised a retry: {r:?}");
     assert_eq!(r.faults_injected, plan.events().len() as u64);
 
-    let bucket = SimDuration::from_millis(30);
-    let end = SimTime::from_nanos((stats.end_secs * 1e9) as u64);
-    let writes = anchored_bandwidth_timeline(&out.write_events, bucket, end);
-    let reads = anchored_bandwidth_timeline(&out.read_events, bucket, end);
-
     let mut rep = Report::new(
         "failure-drill",
         "Failure drill: paced operational trace through kill -> rebuild -> restart",
         &["t_ms", "write_gib_s", "read_gib_s", "fault"],
     );
-    for (w, rd) in writes.iter().zip(&reads) {
+    for &(t_ns, w, rd) in &timeline {
         rep.row(vec![
-            format!("{}", w.t_ns / 1_000_000),
-            format!("{:.2}", w.bw_gib),
-            format!("{:.2}", rd.bw_gib),
-            fault_label(&plan, SimTime::from_nanos(w.t_ns), bucket),
+            format!("{}", t_ns / 1_000_000),
+            format!("{w:.2}"),
+            format!("{rd:.2}"),
+            fault_label(&plan, SimTime::from_nanos(t_ns), bucket),
         ]);
     }
     rep.note(format!(

@@ -3,14 +3,12 @@
 use daosim_cluster::ClusterSpec;
 use daosim_core::fieldio::{FieldIoConfig, FieldIoMode};
 use daosim_core::patterns::{run_pattern_a, run_pattern_b, PatternConfig, PatternResult};
-use daosim_core::workload::Contention;
+use daosim_core::workload::{Contention, MIB};
 use daosim_ior::{best_over_ppn, IorParams};
 use daosim_net::ProviderProfile;
 use daosim_objstore::ObjectClass;
 
 use crate::harness::{gib, parallel_map, Report, Scale};
-
-const MIB: u64 = 1024 * 1024;
 
 fn field_cfg(
     cluster: ClusterSpec,

@@ -1,16 +1,19 @@
-//! Shared experiment harness: scale presets, a parallel sweep runner, and
-//! table/CSV reporting.
+//! Shared experiment harness: scale presets, a parallel sweep runner,
+//! table/CSV reporting and the JSON writer behind every `BENCH_*.json`.
 //!
 //! Each simulation world is single-threaded and deterministic; sweeps
 //! parallelise across configurations, one world per OS thread.
 
 use std::cell::UnsafeCell;
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 use std::fs;
 use std::io::Write as _;
 use std::mem::MaybeUninit;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use daosim_core::metrics::LatencyStats;
+use daosim_core::obs::json_escape;
 
 /// How big to run an experiment.
 #[derive(Clone, Debug)]
@@ -240,6 +243,89 @@ pub fn gib(v: f64) -> String {
     format!("{v:.2}")
 }
 
+/// `(p50, p99)` in µs of an optional latency summary; `(0, 0)` when the
+/// run recorded no ops of that kind.
+pub fn p50_p99(lat: &Option<LatencyStats>) -> (f64, f64) {
+    lat.as_ref().map_or((0.0, 0.0), |l| (l.p50_us, l.p99_us))
+}
+
+/// A JSON object under construction, the writer behind every
+/// `BENCH_*.json` artifact.
+///
+/// A pretty object puts one field per line, indented two spaces per
+/// nesting level; an inline object renders as `{"k": v, ...}` on one
+/// line; an array of objects puts one element per line. Scalars arrive
+/// already formatted, so each artifact keeps its own number formatting;
+/// keys and string values go through [`json_escape`].
+#[derive(Clone, Debug, Default)]
+pub struct JsonObject {
+    inline: bool,
+    /// Rendered `"key": value` members, nested values at depth 0.
+    fields: Vec<String>,
+}
+
+impl JsonObject {
+    /// An object rendered one field per line.
+    pub fn pretty() -> Self {
+        JsonObject::default()
+    }
+
+    /// An object rendered on a single line.
+    pub fn inline() -> Self {
+        JsonObject {
+            inline: true,
+            fields: Vec::new(),
+        }
+    }
+
+    /// Adds a value that is already valid JSON: a number, a boolean, a
+    /// literal array or a nested [`JsonObject`].
+    pub fn raw(mut self, key: &str, value: impl Display) -> Self {
+        self.fields
+            .push(format!("\"{}\": {value}", json_escape(key)));
+        self
+    }
+
+    /// Adds a string value, escaped and quoted.
+    pub fn str(self, key: &str, value: &str) -> Self {
+        self.raw(key, format_args!("\"{}\"", json_escape(value)))
+    }
+
+    pub fn array(self, key: &str, items: Vec<JsonObject>) -> Self {
+        let items: Vec<String> = items.iter().map(JsonObject::to_string).collect();
+        self.raw(key, block('[', &items, ']'))
+    }
+
+    /// The whole document, newline-terminated.
+    pub fn render(&self) -> String {
+        format!("{self}\n")
+    }
+}
+
+impl Display for JsonObject {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.inline || self.fields.is_empty() {
+            write!(f, "{{{}}}", self.fields.join(", "))
+        } else {
+            f.write_str(&block('{', &self.fields, '}'))
+        }
+    }
+}
+
+/// One member per line between `open` and `close`, each indented one
+/// level deeper (continuation lines of nested values included). Only
+/// nested pretty values contain newlines: escaped strings never do.
+fn block(open: char, members: &[String], close: char) -> String {
+    if members.is_empty() {
+        return format!("{open}{close}");
+    }
+    let body: Vec<String> = members
+        .iter()
+        .map(|m| format!("  {}", m.replace('\n', "\n  ")))
+        .collect();
+    format!("{open}\n{}\n{close}", body.join(",\n"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,6 +375,50 @@ mod tests {
         assert!(md.contains("| a | b |"));
         assert!(md.contains("|---|---|"));
         assert!(md.contains("| 1 | 2 |"));
+    }
+
+    #[test]
+    fn json_nests_pretty_objects_and_arrays() {
+        let doc = JsonObject::pretty()
+            .str("experiment", "t")
+            .array(
+                "rows",
+                vec![JsonObject::pretty().raw("a", 1).raw("ok", true)],
+            )
+            .raw("summary", JsonObject::pretty().raw("ratio", 0.5))
+            .array("none", Vec::new())
+            .render();
+        let want = "{\n  \"experiment\": \"t\",\n  \"rows\": [\n    {\n      \"a\": 1,\n      \"ok\": true\n    }\n  ],\n  \"summary\": {\n    \"ratio\": 0.5\n  },\n  \"none\": []\n}\n";
+        assert_eq!(doc, want);
+        assert!(daosim_core::obs::json_is_wellformed(&doc));
+    }
+
+    #[test]
+    fn json_inline_rows_stay_on_one_line() {
+        let row = |w: u32| {
+            JsonObject::inline()
+                .raw("w", w)
+                .raw("s", format!("{:.1}", 2.0 / 3.0))
+        };
+        let doc = JsonObject::pretty()
+            .array("rows", vec![row(1), row(2)])
+            .raw("k", JsonObject::inline().raw("n", 3))
+            .raw("series", "[[1, 2], [3, 4]]")
+            .render();
+        let want = "{\n  \"rows\": [\n    {\"w\": 1, \"s\": 0.7},\n    {\"w\": 2, \"s\": 0.7}\n  ],\n  \"k\": {\"n\": 3},\n  \"series\": [[1, 2], [3, 4]]\n}\n";
+        assert_eq!(doc, want);
+        assert!(daosim_core::obs::json_is_wellformed(&doc));
+    }
+
+    #[test]
+    fn json_escapes_quotes_and_backslashes() {
+        let doc = JsonObject::inline()
+            .str("path", r#"a\b "c""#)
+            .str(r#"k"ey"#, "")
+            .render();
+        assert_eq!(doc, "{\"path\": \"a\\\\b \\\"c\\\"\", \"k\\\"ey\": \"\"}\n");
+        assert!(daosim_core::obs::json_is_wellformed(&doc));
+        assert_eq!(JsonObject::pretty().render(), "{}\n");
     }
 
     #[test]

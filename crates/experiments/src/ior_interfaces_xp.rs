@@ -15,28 +15,49 @@
 //!
 //! All numbers are sim-derived, so reruns are byte-identical.
 
-use std::fmt::Write as _;
-
 use daosim_cluster::ClusterSpec;
+use daosim_core::workload::KIB;
 use daosim_ior::{run_ior, Api, FileMode, IorParams};
 use daosim_objstore::prelude::ObjectClass;
 
-use crate::harness::{gib, parallel_map, Report, Scale};
-
-const KIB: u64 = 1024;
+use crate::harness::{gib, parallel_map, JsonObject, Report, Scale};
 
 /// Transfer sizes swept (`-t = -b`), small enough that dirent traffic
 /// shows, large enough that it drowns.
 pub const TRANSFER_KIB: [u64; 5] = [16, 64, 256, 1024, 4096];
 
-fn point(transfer_kib: u64, segments: u32, api: Api) -> IorParams {
+/// Client processes per node in the experiment.
+const PPN: u32 = 4;
+
+/// One `api=DAOS` vs `api=DFS` comparison point of [`interface_grid`].
+/// Bandwidths are GiB/s; the overhead ratios are `daos_bw / dfs_bw`
+/// (>= 1 when the namespace costs anything).
+#[derive(Debug, Clone, PartialEq)]
+pub struct InterfaceRow {
+    pub transfer_kib: u64,
+    pub daos_write_bw: f64,
+    pub dfs_write_bw: f64,
+    pub daos_read_bw: f64,
+    pub dfs_read_bw: f64,
+}
+
+impl InterfaceRow {
+    pub fn write_overhead(&self) -> f64 {
+        self.daos_write_bw / self.dfs_write_bw
+    }
+    pub fn read_overhead(&self) -> f64 {
+        self.daos_read_bw / self.dfs_read_bw
+    }
+}
+
+fn point(transfer_kib: u64, segments: u32, ppn: u32, api: Api) -> IorParams {
     // SX striping: every file spreads over all targets, so the two runs
     // share one data-path shape and the measured delta is purely the
     // namespace (S1 would add single-stripe placement luck per oid draw).
     IorParams {
         transfer_bytes: transfer_kib * KIB,
         segments,
-        procs_per_node: 4,
+        procs_per_node: ppn,
         class: ObjectClass::SX,
         iterations: 1,
         file_mode: FileMode::FilePerProcess,
@@ -45,18 +66,33 @@ fn point(transfer_kib: u64, segments: u32, api: Api) -> IorParams {
     }
 }
 
+/// The interface grid on a simulated `tcp(1, 2)` cluster: each transfer
+/// size is written and read twice — once against raw DAOS Arrays, once
+/// through the `daosim-dfs` namespace — with every other parameter
+/// shared, so the overhead ratio isolates the namespace. Rows follow
+/// `transfers_kib`; `transfer_kib * 1024` must fit in a `u64`.
+pub fn interface_grid(transfers_kib: &[u64], segments: u32, ppn: u32) -> Vec<InterfaceRow> {
+    let spec = ClusterSpec::tcp(1, 2);
+    parallel_map(transfers_kib.to_vec(), |&t| {
+        let daos = run_ior(spec, point(t, segments, ppn, Api::Daos));
+        let dfs = run_ior(spec, point(t, segments, ppn, Api::Dfs));
+        InterfaceRow {
+            transfer_kib: t,
+            daos_write_bw: daos.write_bw(),
+            dfs_write_bw: dfs.write_bw(),
+            daos_read_bw: daos.read_bw(),
+            dfs_read_bw: dfs.read_bw(),
+        }
+    })
+}
+
 /// Runs the interface sweep and renders the report plus the
 /// `BENCH_ior_interfaces.json` artifact.
 pub fn ior_interfaces(scale: &Scale) -> Report {
-    let spec = ClusterSpec::tcp(1, 2);
     // Few segments per point: the per-file dirent cost is fixed, so a
     // small byte total keeps it visible at the small-transfer end.
     let segments = scale.segments.clamp(2, 8);
-    let results = parallel_map(TRANSFER_KIB.to_vec(), |&t| {
-        let daos = run_ior(spec, point(t, segments, Api::Daos));
-        let dfs = run_ior(spec, point(t, segments, Api::Dfs));
-        (t, daos, dfs)
-    });
+    let results = interface_grid(&TRANSFER_KIB, segments, PPN);
     let mut rep = Report::new(
         "ior-interfaces",
         "Extension: IOR api=DFS vs api=DAOS — namespace overhead vs transfer size",
@@ -70,46 +106,42 @@ pub fn ior_interfaces(scale: &Scale) -> Report {
             "read_overhead",
         ],
     );
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"experiment\": \"ior-interfaces\",");
-    let _ = writeln!(
-        json,
-        "  \"cluster\": \"tcp(server_nodes=1, client_nodes=2)\","
-    );
-    let _ = writeln!(json, "  \"procs_per_node\": 4,");
-    let _ = writeln!(json, "  \"segments\": {segments},");
-    let _ = writeln!(json, "  \"file_mode\": \"file-per-process\",");
-    let _ = writeln!(json, "  \"overhead\": \"daos_bw / dfs_bw\",");
-    let _ = writeln!(json, "  \"rows\": [");
-    for (i, (t, daos, dfs)) in results.iter().enumerate() {
-        let w_over = daos.write_bw() / dfs.write_bw();
-        let r_over = daos.read_bw() / dfs.read_bw();
+    let mut rows = Vec::with_capacity(results.len());
+    for r in &results {
+        let (w_over, r_over) = (r.write_overhead(), r.read_overhead());
         rep.row(vec![
-            t.to_string(),
-            gib(daos.write_bw()),
-            gib(dfs.write_bw()),
+            r.transfer_kib.to_string(),
+            gib(r.daos_write_bw),
+            gib(r.dfs_write_bw),
             format!("{w_over:.3}"),
-            gib(daos.read_bw()),
-            gib(dfs.read_bw()),
+            gib(r.daos_read_bw),
+            gib(r.dfs_read_bw),
             format!("{r_over:.3}"),
         ]);
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"transfer_kib\": {t}, \"daos_write_gib_s\": {}, \"dfs_write_gib_s\": {}, \"write_overhead\": {w_over}, \"daos_read_gib_s\": {}, \"dfs_read_gib_s\": {}, \"read_overhead\": {r_over}}}{comma}",
-            daos.write_bw(),
-            dfs.write_bw(),
-            daos.read_bw(),
-            dfs.read_bw(),
+        rows.push(
+            JsonObject::inline()
+                .raw("transfer_kib", r.transfer_kib)
+                .raw("daos_write_gib_s", r.daos_write_bw)
+                .raw("dfs_write_gib_s", r.dfs_write_bw)
+                .raw("write_overhead", w_over)
+                .raw("daos_read_gib_s", r.daos_read_bw)
+                .raw("dfs_read_gib_s", r.dfs_read_bw)
+                .raw("read_overhead", r_over),
         );
     }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
+    let json = JsonObject::pretty()
+        .str("experiment", "ior-interfaces")
+        .str("cluster", "tcp(server_nodes=1, client_nodes=2)")
+        .raw("procs_per_node", PPN)
+        .raw("segments", segments)
+        .str("file_mode", "file-per-process")
+        .str("overhead", "daos_bw / dfs_bw")
+        .array("rows", rows);
     rep.note(format!(
-        "8 procs x {segments} segments per point, inflight 1; DFS adds per-file dirent create/walk/update inside the measured window"
+        "{} procs x {segments} segments per point, inflight 1; DFS adds per-file dirent create/walk/update inside the measured window",
+        2 * PPN
     ));
-    rep.artifact("BENCH_ior_interfaces.json", json);
+    rep.artifact("BENCH_ior_interfaces.json", json.render());
     rep
 }
 

@@ -16,13 +16,14 @@
 //! Everything is sim-derived and seed-fixed, so reruns are
 //! byte-identical.
 
-use std::fmt::Write as _;
-
 use daosim_cluster::{ClusterSpec, FaultPlan, RetryPolicy};
-use daosim_core::cycle::{run_nwp_cycle, CycleConfig, CycleOutcome, IndexLayout};
+use daosim_core::cycle::{run_nwp_cycle, CycleConfig, CycleConfigError, CycleOutcome, IndexLayout};
 use daosim_kernel::{AdmissionPolicy, SimDuration};
 
-use crate::harness::{parallel_map, Report, Scale};
+use crate::harness::{p50_p99, parallel_map, JsonObject, Report, Scale};
+
+/// Seed of the experiment's fault campaign.
+const FAULT_SEED: u64 = 11;
 
 /// The experiment's deployment: one dual-engine server node, clients on
 /// two nodes — small enough for CI, contended enough to separate the
@@ -35,15 +36,16 @@ fn spec(faults: bool) -> ClusterSpec {
     spec
 }
 
-/// Cycle shape at `scale`. Both shapes are *reader-saturated*: the
-/// writer fleet alone fits comfortably inside the step interval, but
-/// the much larger reader fleet waking at every step boundary floods
-/// the service queues — so under FIFO admission writer completions
-/// queue behind reader ops and blow the deadline, and the admission
-/// policy (not raw bandwidth) decides the writer tail. The full shape
-/// doubles the fleet and adds a step so the separation is unmistakable.
-fn cycle_config(scale: &Scale, layout: IndexLayout, admission: AdmissionPolicy) -> CycleConfig {
-    let mut b = CycleConfig::builder(layout)
+/// Cycle shape at `scale` (shared index, FIFO admission). Both shapes
+/// are *reader-saturated*: the writer fleet alone fits comfortably
+/// inside the step interval, but the much larger reader fleet waking at
+/// every step boundary floods the service queues — so under FIFO
+/// admission writer completions queue behind reader ops and blow the
+/// deadline, and the admission policy (not raw bandwidth) decides the
+/// writer tail. The full shape doubles the fleet and adds a step so the
+/// separation is unmistakable. `tiering` runs the same shape.
+pub(crate) fn cycle_shape(scale: &Scale) -> CycleConfig {
+    let mut b = CycleConfig::builder(IndexLayout::Shared)
         .writers(6)
         .readers(32)
         .steps(3)
@@ -62,49 +64,74 @@ fn cycle_config(scale: &Scale, layout: IndexLayout, admission: AdmissionPolicy) 
             .step_interval(SimDuration::from_millis(25))
             .write_window(8);
     }
-    b.admission(admission)
+    b.admission(AdmissionPolicy::Fifo)
         .build()
         .expect("experiment cycle shape is statically nonzero")
 }
 
 /// The optional contention + failure axis: a seeded random campaign over
 /// the first half of the cycle.
-fn campaign(cfg: &CycleConfig, engines: u32) -> FaultPlan {
+fn campaign(cfg: &CycleConfig, engines: u32, seed: u64) -> FaultPlan {
     let horizon = SimDuration::from_nanos(cfg.step_interval.as_nanos() * cfg.steps as u64 / 2);
-    FaultPlan::random_campaign(11, engines, horizon)
+    FaultPlan::random_campaign(seed, engines, horizon)
 }
 
-fn p50_p99(lat: &Option<daosim_core::metrics::LatencyStats>) -> (f64, f64) {
-    lat.as_ref().map_or((0.0, 0.0), |l| (l.p50_us, l.p99_us))
+/// One point of [`cycle_grid`]. The outcome records its own index
+/// layout and admission policy.
+#[derive(Debug)]
+pub struct CycleRow {
+    /// Whether the fault campaign ran.
+    pub faults: bool,
+    pub outcome: CycleOutcome,
 }
 
-/// One configuration of the three-way axis, in row order.
-type Config = (IndexLayout, AdmissionPolicy, bool);
-
-fn configs() -> Vec<Config> {
-    let mut v = Vec::new();
-    for layout in IndexLayout::all() {
-        for admission in [AdmissionPolicy::Fifo, AdmissionPolicy::writer_priority()] {
-            for faults in [false, true] {
-                v.push((layout, admission, faults));
+/// The nwp-cycle grid: `base` at every layout × admission × faults
+/// point, layout-major and faults-minor, one simulated world per point.
+/// Faulted points add the operational retry policy and a random
+/// engine-fault campaign seeded by `fault_seed` over the first half of
+/// the cycle, so the cycle degrades instead of failing.
+pub fn cycle_grid(
+    base: &CycleConfig,
+    layouts: &[IndexLayout],
+    admissions: &[AdmissionPolicy],
+    faults: &[bool],
+    fault_seed: u64,
+) -> Result<Vec<CycleRow>, CycleConfigError> {
+    let mut points = Vec::new();
+    for &layout in layouts {
+        for &admission in admissions {
+            for &f in faults {
+                let cfg = CycleConfig {
+                    layout,
+                    admission,
+                    ..*base
+                };
+                points.push((cfg, f));
             }
         }
     }
-    v
+    parallel_map(points, |&(cfg, faults)| {
+        let spec = spec(faults);
+        let plan = faults.then(|| campaign(&cfg, spec.engines(), fault_seed));
+        run_nwp_cycle(spec, &cfg, plan.as_ref()).map(|outcome| CycleRow { faults, outcome })
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Runs the eight configurations (layouts × admission × faults) and
 /// renders the report plus the `BENCH_nwp_cycle.json` artifact.
 pub fn nwp_cycle(scale: &Scale) -> Report {
-    let results: Vec<(Config, CycleOutcome)> = parallel_map(configs(), |&(layout, adm, faults)| {
-        let spec = spec(faults);
-        let cfg = cycle_config(scale, layout, adm);
-        let plan = faults.then(|| campaign(&cfg, spec.engines()));
-        let out = run_nwp_cycle(spec, &cfg, plan.as_ref()).expect("valid cycle config");
-        ((layout, adm, faults), out)
-    });
+    let cfg = cycle_shape(scale);
+    let results = cycle_grid(
+        &cfg,
+        &IndexLayout::all(),
+        &[AdmissionPolicy::Fifo, AdmissionPolicy::writer_priority()],
+        &[false, true],
+        FAULT_SEED,
+    )
+    .expect("valid cycle config");
 
-    let cfg = cycle_config(scale, IndexLayout::Shared, AdmissionPolicy::Fifo);
     let mut rep = Report::new(
         "nwp-cycle",
         "Extension: operational NWP cycle — writer deadlines vs reader fleet, shared vs split index, FIFO vs writer-priority admission",
@@ -121,30 +148,17 @@ pub fn nwp_cycle(scale: &Scale) -> Report {
             "secs",
         ],
     );
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"experiment\": \"nwp-cycle\",");
-    let _ = writeln!(
-        json,
-        "  \"cluster\": \"tcp(server_nodes=1, client_nodes=2)\","
-    );
-    let _ = writeln!(json, "  \"writers\": {},", cfg.writers);
-    let _ = writeln!(json, "  \"readers\": {},", cfg.readers);
-    let _ = writeln!(json, "  \"steps\": {},", cfg.steps);
-    let _ = writeln!(json, "  \"fields_per_step\": {},", cfg.fields_per_step);
-    let _ = writeln!(json, "  \"field_bytes\": {},", cfg.field_bytes);
-    let _ = writeln!(
-        json,
-        "  \"step_interval_ms\": {},",
-        cfg.step_interval.as_nanos() / 1_000_000
-    );
-    let _ = writeln!(json, "  \"rows\": [");
-    for (i, ((_, adm, faults), out)) in results.iter().enumerate() {
+    let mut rows = Vec::with_capacity(results.len());
+    for CycleRow {
+        faults,
+        outcome: out,
+    } in &results
+    {
         let (wp50, wp99) = p50_p99(&out.writer_lat);
         let (rp50, rp99) = p50_p99(&out.reader_lat);
         rep.row(vec![
             out.layout.name().to_string(),
-            adm.name().to_string(),
+            out.admission.name().to_string(),
             faults.to_string(),
             format!("{wp99:.1}"),
             format!("{rp99:.1}"),
@@ -159,61 +173,36 @@ pub fn nwp_cycle(scale: &Scale) -> Report {
             .iter()
             .map(|(t, d)| format!("[{t}, {d}]"))
             .collect();
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"layout\": \"{}\",", out.layout.name());
-        let _ = writeln!(json, "      \"admission\": \"{}\",", adm.name());
-        let _ = writeln!(json, "      \"faults\": {faults},");
-        let _ = writeln!(json, "      \"end_secs\": {},", out.end_secs);
-        let _ = writeln!(json, "      \"writer_p50_us\": {wp50},");
-        let _ = writeln!(json, "      \"writer_p99_us\": {wp99},");
-        let _ = writeln!(json, "      \"reader_p50_us\": {rp50},");
-        let _ = writeln!(json, "      \"reader_p99_us\": {rp99},");
-        let _ = writeln!(
-            json,
-            "      \"writer_class_p99_us\": {},",
-            out.writer_p99_us
+        rows.push(
+            JsonObject::pretty()
+                .str("layout", out.layout.name())
+                .str("admission", out.admission.name())
+                .raw("faults", faults)
+                .raw("end_secs", out.end_secs)
+                .raw("writer_p50_us", wp50)
+                .raw("writer_p99_us", wp99)
+                .raw("reader_p50_us", rp50)
+                .raw("reader_p99_us", rp99)
+                .raw("writer_class_p99_us", out.writer_p99_us)
+                .raw("reader_class_p99_us", out.reader_p99_us)
+                .raw("deadlines_met", out.deadlines_met)
+                .raw("deadlines_missed", out.deadlines_missed)
+                .raw("worst_lateness_ms", out.worst_lateness_ms)
+                .raw("aged_grants", out.aged_grants)
+                .raw("backlog_peak", out.backlog_peak)
+                .raw("backlog_series", format!("[{}]", series.join(", ")))
+                .raw("fields_written", out.fields_written)
+                .raw("fields_read", out.fields_read)
+                .raw("failed_writes", out.resilience.failed_writes)
+                .raw("failed_reads", out.resilience.failed_reads)
+                .raw("retries", out.resilience.retries),
         );
-        let _ = writeln!(
-            json,
-            "      \"reader_class_p99_us\": {},",
-            out.reader_p99_us
-        );
-        let _ = writeln!(json, "      \"deadlines_met\": {},", out.deadlines_met);
-        let _ = writeln!(
-            json,
-            "      \"deadlines_missed\": {},",
-            out.deadlines_missed
-        );
-        let _ = writeln!(
-            json,
-            "      \"worst_lateness_ms\": {},",
-            out.worst_lateness_ms
-        );
-        let _ = writeln!(json, "      \"aged_grants\": {},", out.aged_grants);
-        let _ = writeln!(json, "      \"backlog_peak\": {},", out.backlog_peak);
-        let _ = writeln!(json, "      \"backlog_series\": [{}],", series.join(", "));
-        let _ = writeln!(json, "      \"fields_written\": {},", out.fields_written);
-        let _ = writeln!(json, "      \"fields_read\": {},", out.fields_read);
-        let _ = writeln!(
-            json,
-            "      \"failed_writes\": {},",
-            out.resilience.failed_writes
-        );
-        let _ = writeln!(
-            json,
-            "      \"failed_reads\": {},",
-            out.resilience.failed_reads
-        );
-        let _ = writeln!(json, "      \"retries\": {}", out.resilience.retries);
-        let _ = writeln!(json, "    }}{comma}");
     }
-    let _ = writeln!(json, "  ],");
 
     // The crossover figure: shared-index cost relative to split, clean,
     // both under FIFO admission (rows 0 and 4 of the axis order).
-    let shared = &results[0].1;
-    let split = &results[4].1;
+    let shared = &results[0].outcome;
+    let split = &results[4].outcome;
     let end_ratio = shared.end_secs / split.end_secs;
     let (_, shared_p99) = p50_p99(&shared.writer_lat);
     let (_, split_p99) = p50_p99(&split.writer_lat);
@@ -222,62 +211,47 @@ pub fn nwp_cycle(scale: &Scale) -> Report {
     } else {
         0.0
     };
-    let _ = writeln!(json, "  \"crossover\": {{");
-    let _ = writeln!(json, "    \"shared_over_split_end_ratio\": {end_ratio},");
-    let _ = writeln!(
-        json,
-        "    \"shared_over_split_writer_p99_ratio\": {p99_ratio}"
-    );
-    let _ = writeln!(json, "  }},");
 
     // The enforcement figure: what writer-priority admission buys the
     // saturated shared-index cycle (rows 0 fifo vs 2 writer-priority,
     // both clean) — and what the readers pay for it. Readers must still
     // complete every op: barging degrades them, never starves them.
-    let fifo = &results[0].1;
-    let prio = &results[2].1;
+    let fifo = &results[0].outcome;
+    let prio = &results[2].outcome;
     let reader_ops = (cfg.readers * cfg.steps * cfg.reads_per_step) as u64;
-    let _ = writeln!(json, "  \"enforcement\": {{");
-    let _ = writeln!(json, "    \"layout\": \"{}\",", fifo.layout.name());
-    let _ = writeln!(
-        json,
-        "    \"writer_class_p99_us_fifo\": {},",
-        fifo.writer_p99_us
-    );
-    let _ = writeln!(
-        json,
-        "    \"writer_class_p99_us_writer_priority\": {},",
-        prio.writer_p99_us
-    );
-    let _ = writeln!(
-        json,
-        "    \"deadlines_missed_fifo\": {},",
-        fifo.deadlines_missed
-    );
-    let _ = writeln!(
-        json,
-        "    \"deadlines_missed_writer_priority\": {},",
-        prio.deadlines_missed
-    );
-    let _ = writeln!(
-        json,
-        "    \"reader_class_p99_us_fifo\": {},",
-        fifo.reader_p99_us
-    );
-    let _ = writeln!(
-        json,
-        "    \"reader_class_p99_us_writer_priority\": {},",
-        prio.reader_p99_us
-    );
-    let _ = writeln!(json, "    \"aged_grants\": {},", prio.aged_grants);
-    let _ = writeln!(json, "    \"reader_ops_expected\": {reader_ops},");
-    let _ = writeln!(
-        json,
-        "    \"reader_ops_resolved\": {}",
-        prio.fields_read + prio.resilience.failed_reads
-    );
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
+    let json = JsonObject::pretty()
+        .str("experiment", "nwp-cycle")
+        .str("cluster", "tcp(server_nodes=1, client_nodes=2)")
+        .raw("writers", cfg.writers)
+        .raw("readers", cfg.readers)
+        .raw("steps", cfg.steps)
+        .raw("fields_per_step", cfg.fields_per_step)
+        .raw("field_bytes", cfg.field_bytes)
+        .raw("step_interval_ms", cfg.step_interval.as_nanos() / 1_000_000)
+        .array("rows", rows)
+        .raw(
+            "crossover",
+            JsonObject::pretty()
+                .raw("shared_over_split_end_ratio", end_ratio)
+                .raw("shared_over_split_writer_p99_ratio", p99_ratio),
+        )
+        .raw(
+            "enforcement",
+            JsonObject::pretty()
+                .str("layout", fifo.layout.name())
+                .raw("writer_class_p99_us_fifo", fifo.writer_p99_us)
+                .raw("writer_class_p99_us_writer_priority", prio.writer_p99_us)
+                .raw("deadlines_missed_fifo", fifo.deadlines_missed)
+                .raw("deadlines_missed_writer_priority", prio.deadlines_missed)
+                .raw("reader_class_p99_us_fifo", fifo.reader_p99_us)
+                .raw("reader_class_p99_us_writer_priority", prio.reader_p99_us)
+                .raw("aged_grants", prio.aged_grants)
+                .raw("reader_ops_expected", reader_ops)
+                .raw(
+                    "reader_ops_resolved",
+                    prio.fields_read + prio.resilience.failed_reads,
+                ),
+        );
 
     rep.note(format!(
         "{} writers ({} steps x {} fields, deadline = step interval) vs {} readers x {} reads/step; \
@@ -287,7 +261,7 @@ pub fn nwp_cycle(scale: &Scale) -> Report {
         cfg.writers, cfg.steps, cfg.fields_per_step, cfg.readers, cfg.reads_per_step,
         fifo.writer_p99_us, prio.writer_p99_us, fifo.deadlines_missed, prio.deadlines_missed
     ));
-    rep.artifact("BENCH_nwp_cycle.json", json);
+    rep.artifact("BENCH_nwp_cycle.json", json.render());
     rep
 }
 

@@ -10,11 +10,10 @@
 use daosim_cluster::ClusterSpec;
 use daosim_core::fieldio::{FieldIoConfig, FieldIoMode};
 use daosim_core::ioserver::{run_ioserver_pipeline, IoServerConfig};
+use daosim_core::workload::MIB;
 use daosim_kernel::SimDuration;
 
 use crate::harness::{gib, parallel_map, Report, Scale};
-
-const MIB: u64 = 1024 * 1024;
 
 pub fn pipeline(scale: &Scale) -> Report {
     #[derive(Clone, Copy)]

@@ -11,13 +11,12 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use daosim_cluster::{rebuild_engine, ClusterSpec, Deployment, RebuildReport, SimClient};
+use daosim_core::workload::MIB;
 use daosim_kernel::Sim;
 use daosim_objstore::api::DaosApi;
 use daosim_objstore::{ObjectClass, OidAllocator, Uuid};
 
 use crate::harness::{gib, parallel_map, Report, Scale};
-
-const MIB: u64 = 1024 * 1024;
 
 struct Run {
     report: RebuildReport,

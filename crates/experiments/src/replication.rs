@@ -12,15 +12,13 @@
 use std::rc::Rc;
 
 use daosim_cluster::{ClusterSpec, Deployment, SimClient};
-use daosim_core::workload::payload;
+use daosim_core::workload::{payload, MIB};
 use daosim_kernel::Sim;
 use daosim_net::GIB;
 use daosim_objstore::api::{ArrayHandle, DaosApi};
 use daosim_objstore::{DaosError, ObjectClass, OidAllocator, Uuid};
 
 use crate::harness::{gib, parallel_map, Report, Scale};
-
-const MIB: u64 = 1024 * 1024;
 
 struct Run {
     write_bw: f64,

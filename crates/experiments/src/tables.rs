@@ -1,14 +1,13 @@
 //! Table 1 and Table 2 runners.
 
 use daosim_cluster::ClusterSpec;
+use daosim_core::workload::MIB;
 use daosim_ior::{best_over_ppn, IorParams};
 use daosim_net::mpi::best_over_sizes;
 use daosim_net::ProviderProfile;
 use daosim_objstore::ObjectClass;
 
 use crate::harness::{gib, parallel_map, Report, Scale};
-
-const MIB: u64 = 1024 * 1024;
 
 /// Table 2 — MPI-style process-to-process transfer bandwidth over the raw
 /// fabric model, TCP vs PSM2, picking the optimal transfer size per row.

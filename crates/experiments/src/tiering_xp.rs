@@ -15,15 +15,13 @@
 //! artifact quantifies. Everything is sim-derived and seed-fixed, so
 //! reruns are byte-identical.
 
-use std::fmt::Write as _;
-
 use daosim_cluster::{AggregationConfig, ClusterSpec, NvmeSpec, ScmSpec, TierPolicy};
-use daosim_core::cycle::{run_nwp_cycle, CycleConfig, CycleOutcome, IndexLayout};
-use daosim_kernel::{AdmissionPolicy, SimDuration};
+use daosim_core::cycle::{run_nwp_cycle, CycleConfig, CycleConfigError, CycleOutcome};
+use daosim_core::workload::MIB;
+use daosim_kernel::SimDuration;
 
-use crate::harness::{parallel_map, Report, Scale};
-
-const MIB: u64 = 1024 * 1024;
+use crate::harness::{p50_p99, parallel_map, JsonObject, Report, Scale};
+use crate::nwp_cycle_xp::cycle_shape;
 
 /// Per-socket SCM budget for the tiered rows: 12 MiB per socket = 1 MiB
 /// per target (12 targets/engine), far below the cycle's foreground
@@ -35,13 +33,16 @@ const TIERED_SCM_PER_SOCKET: u64 = 12 * MIB;
 /// spill and by aggregation, not by direct placement.
 const TIERED_SCM_THRESHOLD: u64 = MIB;
 
+/// Seed of the aggregation service's per-target stagger.
+const AGGREGATION_SEED: u64 = 0xA66;
+
 /// The experiment's deployment — same one-server/two-client-node shape
 /// as `nwp-cycle`; the tiered rows swap the media configuration only.
-fn spec(tiered: bool) -> ClusterSpec {
+fn spec(tiered: bool, scm_per_socket: u64, scm_threshold: u64) -> ClusterSpec {
     let mut spec = ClusterSpec::tcp(1, 2);
     if tiered {
         spec.calibration.scm = ScmSpec {
-            capacity: TIERED_SCM_PER_SOCKET,
+            capacity: scm_per_socket,
             ..spec.calibration.scm
         };
         // Aggressive watermarks: a single 512 KiB field parks a target
@@ -51,7 +52,7 @@ fn spec(tiered: bool) -> ClusterSpec {
         // migration, which is the regime the experiment measures.
         spec.tiering = TierPolicy {
             nvme: Some(NvmeSpec::p4510_gen1()),
-            scm_threshold: TIERED_SCM_THRESHOLD,
+            scm_threshold,
             high_watermark: 0.30,
             low_watermark: 0.10,
         };
@@ -59,76 +60,79 @@ fn spec(tiered: bool) -> ClusterSpec {
     spec
 }
 
-/// The saturated shared-index cycle shape from `nwp-cycle` (FIFO
-/// admission), with the aggregation service optionally enabled. The
-/// cycle is backlogged — it finishes steps well past the nominal
-/// `steps × interval` — so the aggregation horizon runs 4× that span:
-/// the service must outlive the congested tail of the workload, where
-/// most writes are actually serviced (and most SCM fills happen), and
-/// still leave the simulation quiescent-terminating. Aggregation-on
-/// rows therefore report `end_secs` = the horizon when it exceeds the
-/// workload's own end.
-fn cycle_config(scale: &Scale, aggregation: bool) -> CycleConfig {
-    let mut b = CycleConfig::builder(IndexLayout::Shared)
-        .writers(6)
-        .readers(32)
-        .steps(3)
-        .fields_per_step(3)
-        .field_bytes(512 * 1024)
-        .step_interval(SimDuration::from_millis(16))
-        .write_window(4)
-        .read_window(8)
-        .reads_per_step(8);
-    if scale.ops_per_proc >= 30 {
-        b = b
-            .writers(8)
-            .readers(48)
-            .steps(4)
-            .fields_per_step(4)
-            .step_interval(SimDuration::from_millis(25))
-            .write_window(8);
+/// One point of [`tiering_grid`].
+#[derive(Debug)]
+pub struct TieringRow {
+    /// SCM write buffer plus NVMe capacity tier, or the paper's
+    /// SCM-only media.
+    pub tiered: bool,
+    /// Whether the background aggregation service ran.
+    pub aggregation: bool,
+    pub outcome: CycleOutcome,
+}
+
+impl TieringRow {
+    /// `"tiered"` or `"scm-only"`.
+    pub fn media(&self) -> &'static str {
+        if self.tiered {
+            "tiered"
+        } else {
+            "scm-only"
+        }
     }
-    let cfg = b
-        .admission(AdmissionPolicy::Fifo)
-        .build()
-        .expect("experiment cycle shape is statically nonzero");
+}
+
+/// The tiering grid: `base` over {scm-only, tiered} × {aggregation off,
+/// on}, media-major, one simulated world per point. Tiered points
+/// shrink the per-socket SCM write buffer to `scm_per_socket` bytes and
+/// add the `NvmeSpec::p4510_gen1()` capacity tier (30%/10% watermarks,
+/// placement threshold `scm_threshold` bytes); scm-only points keep the
+/// paper's NEXTGenIO media. The cycle is backlogged — it finishes steps
+/// well past the nominal `steps × interval` — so the aggregation
+/// horizon runs 4× that span: the service must outlive the congested
+/// tail of the workload, where most writes are actually serviced (and
+/// most SCM fills happen), and still leave the simulation
+/// quiescent-terminating. Aggregation-on rows therefore report
+/// `end_secs` = the horizon when it exceeds the workload's own end.
+pub fn tiering_grid(
+    base: &CycleConfig,
+    scm_per_socket: u64,
+    scm_threshold: u64,
+    aggregation_seed: u64,
+) -> Result<Vec<TieringRow>, CycleConfigError> {
     let horizon =
-        SimDuration::from_nanos(cfg.step_interval.as_nanos() * (cfg.steps as u64 + 1) * 4);
-    CycleConfig {
-        aggregation: aggregation.then(|| AggregationConfig::operational(horizon, 0xA66)),
-        ..cfg
-    }
+        SimDuration::from_nanos(base.step_interval.as_nanos() * (base.steps as u64 + 1) * 4);
+    let points = vec![(false, false), (false, true), (true, false), (true, true)];
+    parallel_map(points, |&(tiered, aggregation)| {
+        let cfg = CycleConfig {
+            aggregation: aggregation
+                .then(|| AggregationConfig::operational(horizon, aggregation_seed)),
+            ..*base
+        };
+        let spec = spec(tiered, scm_per_socket, scm_threshold);
+        run_nwp_cycle(spec, &cfg, None).map(|outcome| TieringRow {
+            tiered,
+            aggregation,
+            outcome,
+        })
+    })
+    .into_iter()
+    .collect()
 }
 
-/// One grid point: `(tiered media, aggregation service on)`.
-type Config = (bool, bool);
-
-fn configs() -> Vec<Config> {
-    vec![(false, false), (false, true), (true, false), (true, true)]
-}
-
-fn media_name(tiered: bool) -> &'static str {
-    if tiered {
-        "tiered"
-    } else {
-        "scm-only"
-    }
-}
-
-fn p50_p99(lat: &Option<daosim_core::metrics::LatencyStats>) -> (f64, f64) {
-    lat.as_ref().map_or((0.0, 0.0), |l| (l.p50_us, l.p99_us))
-}
-
-/// Runs the four grid points and renders the report plus the
+/// Runs the four grid points on the saturated shared-index cycle of
+/// `nwp-cycle` (FIFO admission) and renders the report plus the
 /// `BENCH_tiering.json` artifact.
 pub fn tiering(scale: &Scale) -> Report {
-    let results: Vec<(Config, CycleOutcome)> = parallel_map(configs(), |&(tiered, agg)| {
-        let cfg = cycle_config(scale, agg);
-        let out = run_nwp_cycle(spec(tiered), &cfg, None).expect("valid cycle config");
-        ((tiered, agg), out)
-    });
+    let cfg = cycle_shape(scale);
+    let results = tiering_grid(
+        &cfg,
+        TIERED_SCM_PER_SOCKET,
+        TIERED_SCM_THRESHOLD,
+        AGGREGATION_SEED,
+    )
+    .expect("valid cycle config");
 
-    let cfg = cycle_config(scale, false);
     let mut rep = Report::new(
         "tiering",
         "Extension: two-tier SCM+NVMe media — write-buffer spill and background aggregation under the saturated shared-index cycle",
@@ -144,37 +148,14 @@ pub fn tiering(scale: &Scale) -> Report {
             "secs",
         ],
     );
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"experiment\": \"tiering\",");
-    let _ = writeln!(
-        json,
-        "  \"cluster\": \"tcp(server_nodes=1, client_nodes=2)\","
-    );
-    let _ = writeln!(json, "  \"layout\": \"shared-index\",");
-    let _ = writeln!(json, "  \"admission\": \"fifo\",");
-    let _ = writeln!(json, "  \"writers\": {},", cfg.writers);
-    let _ = writeln!(json, "  \"readers\": {},", cfg.readers);
-    let _ = writeln!(json, "  \"steps\": {},", cfg.steps);
-    let _ = writeln!(json, "  \"fields_per_step\": {},", cfg.fields_per_step);
-    let _ = writeln!(json, "  \"field_bytes\": {},", cfg.field_bytes);
-    let _ = writeln!(
-        json,
-        "  \"step_interval_ms\": {},",
-        cfg.step_interval.as_nanos() / 1_000_000
-    );
-    let _ = writeln!(
-        json,
-        "  \"tiered_scm_per_socket\": {TIERED_SCM_PER_SOCKET},"
-    );
-    let _ = writeln!(json, "  \"tiered_scm_threshold\": {TIERED_SCM_THRESHOLD},");
-    let _ = writeln!(json, "  \"rows\": [");
-    for (i, ((tiered, agg), out)) in results.iter().enumerate() {
+    let mut rows = Vec::with_capacity(results.len());
+    for r in &results {
+        let out = &r.outcome;
         let (wp50, wp99) = p50_p99(&out.writer_lat);
         let (rp50, rp99) = p50_p99(&out.reader_lat);
         rep.row(vec![
-            media_name(*tiered).to_string(),
-            agg.to_string(),
+            r.media().to_string(),
+            r.aggregation.to_string(),
             format!("{wp99:.1}"),
             format!("{rp99:.1}"),
             out.deadlines_missed.to_string(),
@@ -183,63 +164,38 @@ pub fn tiering(scale: &Scale) -> Report {
             format!("{:.2}", out.aggregated_bytes as f64 / MIB as f64),
             format!("{:.4}", out.end_secs),
         ]);
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"media\": \"{}\",", media_name(*tiered));
-        let _ = writeln!(json, "      \"aggregation\": {agg},");
-        let _ = writeln!(json, "      \"end_secs\": {},", out.end_secs);
-        let _ = writeln!(json, "      \"writer_p50_us\": {wp50},");
-        let _ = writeln!(json, "      \"writer_p99_us\": {wp99},");
-        let _ = writeln!(json, "      \"reader_p50_us\": {rp50},");
-        let _ = writeln!(json, "      \"reader_p99_us\": {rp99},");
-        let _ = writeln!(
-            json,
-            "      \"writer_class_p99_us\": {},",
-            out.writer_p99_us
+        rows.push(
+            JsonObject::pretty()
+                .str("media", r.media())
+                .raw("aggregation", r.aggregation)
+                .raw("end_secs", out.end_secs)
+                .raw("writer_p50_us", wp50)
+                .raw("writer_p99_us", wp99)
+                .raw("reader_p50_us", rp50)
+                .raw("reader_p99_us", rp99)
+                .raw("writer_class_p99_us", out.writer_p99_us)
+                .raw("reader_class_p99_us", out.reader_p99_us)
+                .raw("deadlines_met", out.deadlines_met)
+                .raw("deadlines_missed", out.deadlines_missed)
+                .raw("backlog_peak", out.backlog_peak)
+                .raw("scm_used", out.scm_used)
+                .raw("nvme_used", out.nvme_used)
+                .raw("aggregated_bytes", out.aggregated_bytes)
+                .raw("fields_written", out.fields_written)
+                .raw("fields_read", out.fields_read)
+                .raw("failed_writes", out.resilience.failed_writes)
+                .raw("failed_reads", out.resilience.failed_reads),
         );
-        let _ = writeln!(
-            json,
-            "      \"reader_class_p99_us\": {},",
-            out.reader_p99_us
-        );
-        let _ = writeln!(json, "      \"deadlines_met\": {},", out.deadlines_met);
-        let _ = writeln!(
-            json,
-            "      \"deadlines_missed\": {},",
-            out.deadlines_missed
-        );
-        let _ = writeln!(json, "      \"backlog_peak\": {},", out.backlog_peak);
-        let _ = writeln!(json, "      \"scm_used\": {},", out.scm_used);
-        let _ = writeln!(json, "      \"nvme_used\": {},", out.nvme_used);
-        let _ = writeln!(
-            json,
-            "      \"aggregated_bytes\": {},",
-            out.aggregated_bytes
-        );
-        let _ = writeln!(json, "      \"fields_written\": {},", out.fields_written);
-        let _ = writeln!(json, "      \"fields_read\": {},", out.fields_read);
-        let _ = writeln!(
-            json,
-            "      \"failed_writes\": {},",
-            out.resilience.failed_writes
-        );
-        let _ = writeln!(
-            json,
-            "      \"failed_reads\": {}",
-            out.resilience.failed_reads
-        );
-        let _ = writeln!(json, "    }}{comma}");
     }
-    let _ = writeln!(json, "  ],");
 
     // The headline figures. Tier cost: tiered/agg-off vs scm-only (both
     // clean FIFO) — what the shrunken write buffer plus NVMe spill does
     // to the writer tail. Aggregation tail inflation: tiered/agg-on vs
     // tiered/agg-off — what the migration traffic's service-queue grants
     // add on top.
-    let scm_only = &results[0].1;
-    let agg_off = &results[2].1;
-    let agg_on = &results[3].1;
+    let scm_only = &results[0].outcome;
+    let agg_off = &results[2].outcome;
+    let agg_on = &results[3].outcome;
     let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
     let (_, scm_wp99) = p50_p99(&scm_only.writer_lat);
     let (_, off_wp99) = p50_p99(&agg_off.writer_lat);
@@ -249,28 +205,30 @@ pub fn tiering(scale: &Scale) -> Report {
     let tier_cost = ratio(off_wp99, scm_wp99);
     let w_inflation = ratio(on_wp99, off_wp99);
     let r_inflation = ratio(on_rp99, off_rp99);
-    let _ = writeln!(json, "  \"aggregation_tail\": {{");
-    let _ = writeln!(
-        json,
-        "    \"tiered_over_scm_writer_p99_ratio\": {tier_cost},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"agg_on_over_off_writer_p99_ratio\": {w_inflation},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"agg_on_over_off_reader_p99_ratio\": {r_inflation},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"aggregated_bytes\": {},",
-        agg_on.aggregated_bytes
-    );
-    let _ = writeln!(json, "    \"scm_used_agg_on\": {},", agg_on.scm_used);
-    let _ = writeln!(json, "    \"scm_used_agg_off\": {}", agg_off.scm_used);
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
+    let json = JsonObject::pretty()
+        .str("experiment", "tiering")
+        .str("cluster", "tcp(server_nodes=1, client_nodes=2)")
+        .str("layout", cfg.layout.name())
+        .str("admission", cfg.admission.name())
+        .raw("writers", cfg.writers)
+        .raw("readers", cfg.readers)
+        .raw("steps", cfg.steps)
+        .raw("fields_per_step", cfg.fields_per_step)
+        .raw("field_bytes", cfg.field_bytes)
+        .raw("step_interval_ms", cfg.step_interval.as_nanos() / 1_000_000)
+        .raw("tiered_scm_per_socket", TIERED_SCM_PER_SOCKET)
+        .raw("tiered_scm_threshold", TIERED_SCM_THRESHOLD)
+        .array("rows", rows)
+        .raw(
+            "aggregation_tail",
+            JsonObject::pretty()
+                .raw("tiered_over_scm_writer_p99_ratio", tier_cost)
+                .raw("agg_on_over_off_writer_p99_ratio", w_inflation)
+                .raw("agg_on_over_off_reader_p99_ratio", r_inflation)
+                .raw("aggregated_bytes", agg_on.aggregated_bytes)
+                .raw("scm_used_agg_on", agg_on.scm_used)
+                .raw("scm_used_agg_off", agg_off.scm_used),
+        );
 
     rep.note(format!(
         "{} writers x {} steps x {} fields ({} KiB) vs {} readers on a {} MiB/socket write buffer; \
@@ -284,7 +242,7 @@ pub fn tiering(scale: &Scale) -> Report {
         TIERED_SCM_PER_SOCKET / MIB,
         agg_on.aggregated_bytes as f64 / MIB as f64,
     ));
-    rep.artifact("BENCH_tiering.json", json);
+    rep.artifact("BENCH_tiering.json", json.render());
     rep
 }
 

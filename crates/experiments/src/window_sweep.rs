@@ -14,18 +14,14 @@
 
 use std::rc::Rc;
 
-use std::fmt::Write as _;
-
 use daosim_cluster::{ClusterSpec, Deployment, SimClient};
 use daosim_core::fieldio::{FieldIoConfig, FieldStore};
 use daosim_core::key::FieldKey;
-use daosim_core::workload::payload;
+use daosim_core::workload::{payload, MIB};
 use daosim_kernel::Sim;
 use daosim_net::GIB;
 
-use crate::harness::{gib, parallel_map, Report, Scale};
-
-const MIB: u64 = 1024 * 1024;
+use crate::harness::{gib, parallel_map, JsonObject, Report, Scale};
 
 /// Windows swept; W = 1 is the synchronous baseline.
 pub const WINDOWS: [u32; 5] = [1, 2, 4, 8, 16];
@@ -89,18 +85,8 @@ pub fn window_sweep(scale: &Scale) -> Report {
         "Extension: pipelined field-write throughput vs in-flight window W",
         &["window", "write_GiB/s", "speedup_vs_W1", "secs"],
     );
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"experiment\": \"pipeline-window\",");
-    let _ = writeln!(
-        json,
-        "  \"cluster\": \"tcp(server_nodes=1, client_nodes=2)\","
-    );
-    let _ = writeln!(json, "  \"procs\": {procs},");
-    let _ = writeln!(json, "  \"fields_per_proc\": {fields},");
-    let _ = writeln!(json, "  \"field_bytes\": {field_bytes},");
-    let _ = writeln!(json, "  \"rows\": [");
-    for (i, (w, secs, gib_s)) in results.iter().enumerate() {
+    let mut rows = Vec::with_capacity(results.len());
+    for (w, secs, gib_s) in &results {
         let speedup = gib_s / base;
         rep.row(vec![
             w.to_string(),
@@ -108,18 +94,25 @@ pub fn window_sweep(scale: &Scale) -> Report {
             format!("{speedup:.2}"),
             format!("{secs:.4}"),
         ]);
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"window\": {w}, \"secs\": {secs}, \"gib_s\": {gib_s}, \"speedup_vs_w1\": {speedup}}}{comma}"
+        rows.push(
+            JsonObject::inline()
+                .raw("window", w)
+                .raw("secs", secs)
+                .raw("gib_s", gib_s)
+                .raw("speedup_vs_w1", speedup),
         );
     }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
+    let json = JsonObject::pretty()
+        .str("experiment", "pipeline-window")
+        .str("cluster", "tcp(server_nodes=1, client_nodes=2)")
+        .raw("procs", procs)
+        .raw("fields_per_proc", fields)
+        .raw("field_bytes", field_bytes)
+        .array("rows", rows);
     rep.note(format!(
         "{procs} writer procs x {fields} x 1 MiB fields, Full mode, every W through the pipelined writer"
     ));
-    rep.artifact("BENCH_pipeline.json", json);
+    rep.artifact("BENCH_pipeline.json", json.render());
     rep
 }
 

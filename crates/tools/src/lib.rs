@@ -15,22 +15,22 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use daosim_cluster::fuzz::{fuzz_corpus, FuzzReport};
-use daosim_cluster::{
-    AggregationConfig, ClusterSpec, FaultPlan, NvmeSpec, RetryPolicy, ScmSpec, TierPolicy,
-};
-use daosim_core::cycle::{run_nwp_cycle, CycleConfig, CycleOutcome, IndexLayout};
+use daosim_cluster::{ClusterSpec, FaultPlan};
+use daosim_core::cycle::{CycleConfig, IndexLayout};
 use daosim_core::fieldio::{FieldIoConfig, FieldIoMode, FieldStore};
 use daosim_core::key::FieldKey;
-use daosim_core::metrics::anchored_bandwidth_timeline;
 use daosim_core::obs::{chrome_trace_json, json_is_wellformed, validate_spans};
 use daosim_core::request::{retrieve, Request};
-use daosim_core::trace::{replay, replay_detailed, replay_traced, Pacing, ReplayStats, Trace};
-use daosim_ior::{run_ior, Api, FileMode, IorParams};
-use daosim_kernel::SchedPolicy;
-use daosim_kernel::{AdmissionPolicy, Sim, SimDuration, SimTime};
+use daosim_core::trace::{replay, replay_traced, Pacing, ReplayStats, Trace};
+use daosim_core::workload::{KIB, MIB};
+use daosim_experiments::failure_drill_xp::run_drill;
+use daosim_experiments::ior_interfaces_xp::{interface_grid, InterfaceRow};
+use daosim_experiments::nwp_cycle_xp::{cycle_grid, CycleRow};
+use daosim_experiments::sched_fuzz_xp::{fuzz_seeds, policy_family};
+use daosim_experiments::tiering_xp::{tiering_grid, TieringRow};
+use daosim_kernel::{AdmissionPolicy, Sim, SimDuration};
 use daosim_objstore::api::EmbeddedClient;
-use daosim_objstore::{load_pool, save_pool, ObjectClass, Pool, Uuid};
+use daosim_objstore::{load_pool, save_pool, Pool, Uuid};
 
 /// Everything a command can report back.
 #[derive(Debug)]
@@ -90,12 +90,9 @@ pub enum Outcome {
         failures: Vec<String>,
     },
     Cycled {
-        /// One outcome per (index layout, admission policy) pair, in the
-        /// order requested (layout-major). Each outcome records its own
-        /// layout and admission policy.
-        outcomes: Vec<CycleOutcome>,
-        /// Whether a fault campaign rode on the cycle.
-        faults: bool,
+        /// One row per (index layout, admission policy) pair, in the
+        /// order requested (layout-major).
+        rows: Vec<CycleRow>,
     },
     Interfaces {
         /// One row per swept transfer size, in the order requested.
@@ -106,37 +103,6 @@ pub enum Outcome {
         /// point, media-major.
         rows: Vec<TieringRow>,
     },
-}
-
-/// One grid point from [`cmd_tiering`].
-#[derive(Debug)]
-pub struct TieringRow {
-    /// `"scm-only"` or `"tiered"`.
-    pub media: &'static str,
-    /// Whether the background aggregation service ran.
-    pub aggregation: bool,
-    pub outcome: CycleOutcome,
-}
-
-/// One `api=DAOS` vs `api=DFS` comparison point from
-/// [`cmd_ior_interfaces`]. Bandwidths are GiB/s; the overhead ratios
-/// are `daos_bw / dfs_bw` (>= 1 when the namespace costs anything).
-#[derive(Debug, Clone, PartialEq)]
-pub struct InterfaceRow {
-    pub transfer_kib: u64,
-    pub daos_write_bw: f64,
-    pub dfs_write_bw: f64,
-    pub daos_read_bw: f64,
-    pub dfs_read_bw: f64,
-}
-
-impl InterfaceRow {
-    pub fn write_overhead(&self) -> f64 {
-        self.daos_write_bw / self.dfs_write_bw
-    }
-    pub fn read_overhead(&self) -> f64 {
-        self.daos_read_bw / self.dfs_read_bw
-    }
 }
 
 /// Errors from archive commands.
@@ -180,6 +146,18 @@ impl From<daosim_core::fieldio::FieldIoError> for ToolError {
 }
 
 pub type ToolResult = Result<Outcome, ToolError>;
+
+fn bad_args(e: impl std::fmt::Display) -> ToolError {
+    ToolError::BadArgs(e.to_string())
+}
+
+/// `value` units of `unit` bytes, as given to `flag`; a product that
+/// overflows `u64` is a [`ToolError::BadArgs`] naming the flag.
+fn bytes_of(flag: &str, value: u64, unit: u64) -> Result<u64, ToolError> {
+    value
+        .checked_mul(unit)
+        .ok_or_else(|| ToolError::BadArgs(format!("{flag} {value} overflows a 64-bit byte count")))
+}
 
 fn load(path: &Path) -> Result<Arc<Pool>, ToolError> {
     let mut f = fs::File::open(path)?;
@@ -328,11 +306,18 @@ pub fn cmd_synth_trace(
             "all trace parameters must be positive".into(),
         ));
     }
+    let field_bytes = bytes_of("--mib", field_mib, MIB)?;
+    // The trace's total write volume must fit a byte count as well.
+    let writes = procs as u64 * steps as u64;
+    writes
+        .checked_mul(fields_per_step as u64)
+        .and_then(|n| n.checked_mul(field_bytes))
+        .ok_or_else(|| bad_args(format!("--mib {field_mib}: trace volume overflows")))?;
     let trace = Trace::synthesize_operational(
         procs,
         steps,
         fields_per_step,
-        field_mib * 1024 * 1024,
+        field_bytes,
         SimDuration::from_millis(interval_ms),
     );
     fs::write(path, trace.to_csv())?;
@@ -341,6 +326,15 @@ pub fn cmd_synth_trace(
         ops: trace.len(),
         gib: trace.total_write_bytes() as f64 / (1u64 << 30) as f64,
     })
+}
+
+/// Reads a trace CSV; an empty trace is an error.
+fn load_trace(path: &Path) -> Result<Trace, ToolError> {
+    let trace = Trace::from_csv(&fs::read_to_string(path)?).map_err(ToolError::BadArgs)?;
+    if trace.is_empty() {
+        return Err(ToolError::BadArgs("trace holds no operations".into()));
+    }
+    Ok(trace)
 }
 
 /// Builds the replay field I/O config from the CLI's `--mode` and
@@ -365,11 +359,7 @@ pub fn cmd_simulate(
     mode: &str,
     window: u32,
 ) -> ToolResult {
-    let text = fs::read_to_string(trace_path)?;
-    let trace = Trace::from_csv(&text).map_err(ToolError::BadArgs)?;
-    if trace.is_empty() {
-        return Err(ToolError::BadArgs("trace holds no operations".into()));
-    }
+    let trace = load_trace(trace_path)?;
     let stats = replay(
         ClusterSpec::tcp(servers.max(1), clients.max(1)),
         fieldio_for(mode, window)?,
@@ -399,11 +389,7 @@ pub fn cmd_trace(
     json_out: &Path,
     metrics_out: &Path,
 ) -> ToolResult {
-    let text = fs::read_to_string(trace_path)?;
-    let trace = Trace::from_csv(&text).map_err(ToolError::BadArgs)?;
-    if trace.is_empty() {
-        return Err(ToolError::BadArgs("trace holds no operations".into()));
-    }
+    let trace = load_trace(trace_path)?;
     let traced = replay_traced(
         ClusterSpec::tcp(servers.max(1), clients.max(1)),
         fieldio_for(mode, window)?,
@@ -435,10 +421,10 @@ pub fn cmd_trace(
 /// `daosctl failure-drill <trace.csv> [--servers N] [--clients N]
 /// [--kill-ms N] [--restart-ms N]`
 ///
-/// Replays the trace *paced* with replicated fields (RP2 arrays and
-/// index) and the operational retry policy while engine 0 is killed,
-/// rebuilt, and later restarted. Reports the availability timeline and
-/// the resilience counters; failed operations are counted, not fatal.
+/// Runs the `xp failure-drill` replay ([`run_drill`]: paced, RP2 arrays
+/// and index, operational retry) while engine 0 is killed, rebuilt, and
+/// later restarted. Reports the availability timeline and the
+/// resilience counters; failed operations are counted, not fatal.
 pub fn cmd_failure_drill(
     trace_path: &Path,
     servers: u16,
@@ -446,39 +432,23 @@ pub fn cmd_failure_drill(
     kill_ms: u64,
     restart_ms: u64,
 ) -> ToolResult {
-    let text = fs::read_to_string(trace_path)?;
-    let trace = Trace::from_csv(&text).map_err(ToolError::BadArgs)?;
-    if trace.is_empty() {
-        return Err(ToolError::BadArgs("trace holds no operations".into()));
-    }
+    let trace = load_trace(trace_path)?;
     if restart_ms <= kill_ms {
         return Err(ToolError::BadArgs(
             "--restart-ms must come after --kill-ms".into(),
         ));
     }
-    let mut spec = ClusterSpec::tcp(servers.max(1), clients.max(1));
-    spec.retry = RetryPolicy::builder().operational().build();
-    let fieldio = FieldIoConfig {
-        array_class: ObjectClass::RP2,
-        kv_class: ObjectClass::RP2,
-        ..Default::default()
-    };
     let plan = FaultPlan::new()
         .kill_and_rebuild(SimDuration::from_millis(kill_ms), 0)
         .restart(SimDuration::from_millis(restart_ms), 0);
-    let out = replay_detailed(spec, fieldio, &trace, Pacing::Paced, Some(&plan));
     let bucket = SimDuration::from_millis(50);
-    let end = SimTime::from_nanos((out.stats.end_secs * 1e9) as u64);
-    let writes = anchored_bandwidth_timeline(&out.write_events, bucket, end);
-    let reads = anchored_bandwidth_timeline(&out.read_events, bucket, end);
-    let timeline = writes
-        .iter()
-        .zip(&reads)
-        .map(|(w, r)| (w.t_ns / 1_000_000, w.bw_gib, r.bw_gib))
-        .collect();
+    let (stats, timeline) = run_drill(servers.max(1), clients.max(1), &trace, &plan, bucket);
     Ok(Outcome::Drilled {
-        stats: Box::new(out.stats),
-        timeline,
+        stats: Box::new(stats),
+        timeline: timeline
+            .into_iter()
+            .map(|(t_ns, w, r)| (t_ns / 1_000_000, w, r))
+            .collect(),
     })
 }
 
@@ -488,66 +458,24 @@ pub fn cmd_failure_drill(
 /// [`daosim_cluster::fuzz`]): every seed in `start..start + seeds` is run
 /// under FIFO (the reference) plus the selected perturbed policies, and
 /// any divergence in per-event outcomes, final pool state, byte
-/// conservation or quiescence is reported with a shrunk repro. Seeds are
-/// fanned out over `jobs` threads; the report order is deterministic, so
-/// reruns of the same corpus print byte-identical output.
-pub fn cmd_fuzz(seeds: u64, start: u64, policy: &str, jobs: usize) -> ToolResult {
-    fn sel_all(_: &SchedPolicy) -> bool {
-        true
-    }
-    fn sel_none(_: &SchedPolicy) -> bool {
-        false
-    }
-    fn sel_lifo(p: &SchedPolicy) -> bool {
-        matches!(p, SchedPolicy::Lifo)
-    }
-    fn sel_random(p: &SchedPolicy) -> bool {
-        matches!(p, SchedPolicy::Random { .. })
-    }
-    fn sel_wake_delay(p: &SchedPolicy) -> bool {
-        matches!(p, SchedPolicy::WakeDelay { .. })
-    }
-    let select: fn(&SchedPolicy) -> bool = match policy {
-        "all" => sel_all,
-        "fifo" => sel_none,
-        "lifo" => sel_lifo,
-        "random" => sel_random,
-        "wake-delay" => sel_wake_delay,
-        other => {
-            return Err(ToolError::BadArgs(format!(
-                "unknown --policy {other} (expected all|fifo|lifo|random|wake-delay)"
-            )))
-        }
-    };
+/// conservation or quiescence is reported with a shrunk repro. The
+/// corpus runs through the `xp sched-fuzz` runner; reports come back in
+/// seed order, so reruns of the same corpus print byte-identical output.
+pub fn cmd_fuzz(seeds: u64, start: u64, policy: &str) -> ToolResult {
+    let select = policy_family(policy).ok_or_else(|| {
+        ToolError::BadArgs(format!(
+            "unknown --policy {policy} (expected all|fifo|lifo|random|wake-delay)"
+        ))
+    })?;
     if seeds == 0 {
         return Err(ToolError::BadArgs("--seeds must be positive".into()));
     }
-
-    let corpus: Vec<u64> = (start..start.saturating_add(seeds)).collect();
-    let jobs = jobs
-        .max(1)
-        .min(corpus.len())
-        .min(std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let per_chunk = corpus.len().div_ceil(jobs);
-    let reports: Vec<FuzzReport> = std::thread::scope(|s| {
-        let handles: Vec<_> = corpus
-            .chunks(per_chunk)
-            .map(|chunk| s.spawn(move || fuzz_corpus(chunk.iter().copied(), select)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fuzz worker panicked"))
-            .collect()
-    });
-
-    let mut seeds_run = 0;
-    let mut policies_per_seed = 0;
-    let mut failures = Vec::new();
-    for r in reports {
-        seeds_run += r.seeds_run;
-        policies_per_seed = policies_per_seed.max(r.policies_per_seed);
-        for f in &r.failures {
-            failures.push(format!(
+    let report = fuzz_seeds(start..start.saturating_add(seeds), select);
+    let failures = report
+        .failures
+        .iter()
+        .map(|f| {
+            format!(
                 "seed {} diverged under {:?} (admission {}): {}\n  minimized to {} op(s): {:?}\n  repro: {}",
                 f.seed,
                 f.policy,
@@ -556,30 +484,54 @@ pub fn cmd_fuzz(seeds: u64, start: u64, policy: &str, jobs: usize) -> ToolResult
                 f.minimized.ops.len(),
                 f.minimized.ops,
                 f.repro()
-            ));
-        }
-    }
+            )
+        })
+        .collect();
     Ok(Outcome::Fuzzed {
-        seeds_run,
-        policies_per_seed,
+        seeds_run: report.seeds_run,
+        policies_per_seed: report.policies_per_seed,
         failures,
     })
+}
+
+/// The cycle shape shared by `nwp-cycle` and `tiering`; a zero comes
+/// back as the builder's typed error, an overflowing `--kib` as an error
+/// naming the flag.
+fn cycle_base(
+    writers: u32,
+    readers: u32,
+    steps: u32,
+    fields: u32,
+    kib: u64,
+    interval_ms: u64,
+    seed: u64,
+) -> Result<CycleConfig, ToolError> {
+    CycleConfig::builder(IndexLayout::Shared)
+        .writers(writers)
+        .readers(readers)
+        .steps(steps)
+        .fields_per_step(fields)
+        .field_bytes(bytes_of("--kib", kib, KIB)?)
+        .step_interval(SimDuration::from_millis(interval_ms))
+        .seed(seed)
+        .build()
+        .map_err(bad_args)
 }
 
 /// `daosctl nwp-cycle [--writers N] [--readers N] [--steps N] [--fields N]
 /// [--kib N] [--interval-ms N] [--layout shared|per-process|both]
 /// [--admission fifo|writer-priority|both] [--seed S] [--faults]`
 ///
-/// Runs the operational contention cycle ([`daosim_core::cycle`]) on a
-/// simulated `tcp(1, 2)` cluster: deadline-carrying writers stream
-/// fields each step while a reader fleet fetches the previous step's
-/// fields from the same pool. With `--layout both` the shared-index and
-/// index-per-process runs share every other parameter, so the printed
-/// rows are directly comparable; `--admission both` likewise crosses
-/// FIFO against writer-priority admission at the target queues.
-/// `--faults` seeds a random engine-fault campaign over the first half
-/// of the cycle (with the operational retry policy, so the cycle
-/// degrades instead of failing).
+/// Runs the `xp nwp-cycle` grid ([`cycle_grid`]) at the shape the flags
+/// set, on a simulated `tcp(1, 2)` cluster: deadline-carrying writers
+/// stream fields each step while a reader fleet fetches the previous
+/// step's fields from the same pool. With `--layout both` the
+/// shared-index and index-per-process runs share every other parameter,
+/// so the printed rows are directly comparable; `--admission both`
+/// likewise crosses FIFO against writer-priority admission at the target
+/// queues. `--faults` seeds (with `--seed`) a random engine-fault
+/// campaign over the first half of the cycle, with the operational retry
+/// policy, so the cycle degrades instead of failing.
 #[allow(clippy::too_many_arguments)]
 pub fn cmd_nwp_cycle(
     writers: u32,
@@ -614,49 +566,21 @@ pub fn cmd_nwp_cycle(
             }
         },
     };
-    let mut outcomes = Vec::with_capacity(layouts.len() * admissions.len());
-    for l in layouts {
-        for &adm in &admissions {
-            // The builder's build() validates the shape: any zero flag
-            // comes back as a typed CycleConfigError instead of a panic
-            // deep inside the cycle.
-            let cfg = CycleConfig::builder(l)
-                .writers(writers)
-                .readers(readers)
-                .steps(steps)
-                .fields_per_step(fields)
-                .field_bytes(kib * 1024)
-                .step_interval(SimDuration::from_millis(interval_ms))
-                .seed(seed)
-                .admission(adm)
-                .build()
-                .map_err(|e| ToolError::BadArgs(e.to_string()))?;
-            let mut spec = ClusterSpec::tcp(1, 2);
-            let plan = faults.then(|| {
-                spec.retry = RetryPolicy::builder().operational().build();
-                let horizon =
-                    SimDuration::from_nanos(cfg.step_interval.as_nanos() * cfg.steps as u64 / 2);
-                FaultPlan::random_campaign(seed, spec.engines(), horizon)
-            });
-            let outcome = run_nwp_cycle(spec, &cfg, plan.as_ref())
-                .map_err(|e| ToolError::BadArgs(e.to_string()))?;
-            outcomes.push(outcome);
-        }
-    }
-    Ok(Outcome::Cycled { outcomes, faults })
+    let base = cycle_base(writers, readers, steps, fields, kib, interval_ms, seed)?;
+    let rows = cycle_grid(&base, &layouts, &admissions, &[faults], seed).map_err(bad_args)?;
+    Ok(Outcome::Cycled { rows })
 }
 
 /// `daosctl tiering [--writers N] [--readers N] [--steps N] [--fields N]
 /// [--kib N] [--interval-ms N] [--scm-mib N] [--threshold-kib N] [--seed S]`
 ///
-/// Runs the shared-index NWP cycle over the {scm-only, tiered} ×
-/// {aggregation off, on} media grid on a simulated `tcp(1, 2)` cluster.
-/// Tiered points shrink the per-socket SCM write buffer to `--scm-mib`
-/// and add the `NvmeSpec::p4510_gen1()` capacity tier (30%/10%
-/// watermarks, placement threshold `--threshold-kib`), so spill and
-/// background aggregation actually engage; scm-only points keep the
-/// paper's NEXTGenIO media. Purely sim-driven and seed-fixed: reruns
-/// print byte-identical output.
+/// Runs the `xp tiering` grid ([`tiering_grid`]) — the shared-index NWP
+/// cycle over {scm-only, tiered} × {aggregation off, on} media — at the
+/// shape the flags set, on a simulated `tcp(1, 2)` cluster. Tiered
+/// points shrink the per-socket SCM write buffer to `--scm-mib` with a
+/// placement threshold of `--threshold-kib`; `--seed` seeds both the
+/// cycle and the aggregation service. Purely sim-driven and seed-fixed:
+/// reruns print byte-identical output.
 #[allow(clippy::too_many_arguments)]
 pub fn cmd_tiering(
     writers: u32,
@@ -677,72 +601,32 @@ pub fn cmd_tiering(
             "--threshold-kib must be positive".into(),
         ));
     }
-    let base = CycleConfig::builder(IndexLayout::Shared)
-        .writers(writers)
-        .readers(readers)
-        .steps(steps)
-        .fields_per_step(fields)
-        .field_bytes(kib * 1024)
-        .step_interval(SimDuration::from_millis(interval_ms))
-        .seed(seed)
-        .admission(AdmissionPolicy::Fifo)
-        .build()
-        .map_err(|e| ToolError::BadArgs(e.to_string()))?;
-    // The cycle is backlogged under contention; the aggregation horizon
-    // runs 4x the nominal span so the service outlives the congested
-    // tail where most writes are actually serviced.
-    let horizon =
-        SimDuration::from_nanos(base.step_interval.as_nanos() * (base.steps as u64 + 1) * 4);
-    let mut rows = Vec::with_capacity(4);
-    for tiered in [false, true] {
-        for aggregation in [false, true] {
-            let mut spec = ClusterSpec::tcp(1, 2);
-            if tiered {
-                spec.calibration.scm = ScmSpec {
-                    capacity: scm_mib * 1024 * 1024,
-                    ..spec.calibration.scm
-                };
-                spec.tiering = TierPolicy {
-                    nvme: Some(NvmeSpec::p4510_gen1()),
-                    scm_threshold: threshold_kib * 1024,
-                    high_watermark: 0.30,
-                    low_watermark: 0.10,
-                };
-            }
-            let cfg = CycleConfig {
-                aggregation: aggregation.then(|| AggregationConfig::operational(horizon, seed)),
-                ..base
-            };
-            let outcome =
-                run_nwp_cycle(spec, &cfg, None).map_err(|e| ToolError::BadArgs(e.to_string()))?;
-            rows.push(TieringRow {
-                media: if tiered { "tiered" } else { "scm-only" },
-                aggregation,
-                outcome,
-            });
-        }
-    }
+    let scm_bytes = bytes_of("--scm-mib", scm_mib, MIB)?;
+    let threshold = bytes_of("--threshold-kib", threshold_kib, KIB)?;
+    let base = cycle_base(writers, readers, steps, fields, kib, interval_ms, seed)?;
+    let rows = tiering_grid(&base, scm_bytes, threshold, seed).map_err(bad_args)?;
     Ok(Outcome::Tiered { rows })
 }
 
 /// `daosctl ior-interfaces [--segments N] [--ppn N] [--transfer-kib A,B,...]`
 ///
-/// Runs the IOR interface comparison on a simulated `tcp(1, 2)` cluster:
-/// each swept transfer size is written and read twice — once against raw
-/// DAOS Arrays (`api=DAOS`), once through the `daosim-dfs` POSIX
-/// namespace (`api=DFS`) — with every other parameter shared, so the
-/// `daos_bw / dfs_bw` ratio isolates the namespace overhead (dirent
-/// create, path walk, size update per file). Files use the SX class so
-/// both runs share one data-path shape. Purely sim-driven: reruns print
-/// byte-identical output.
+/// Runs the `xp ior-interfaces` grid ([`interface_grid`]) at the shape
+/// the flags set: each swept transfer size is written and read once
+/// against raw DAOS Arrays (`api=DAOS`) and once through the
+/// `daosim-dfs` POSIX namespace (`api=DFS`), so the `daos_bw / dfs_bw`
+/// ratio isolates the namespace overhead. Purely sim-driven: reruns
+/// print byte-identical output.
 pub fn cmd_ior_interfaces(transfers_kib: &[u64], segments: u32, ppn: u32) -> ToolResult {
     if transfers_kib.is_empty() {
         return Err(ToolError::BadArgs("--transfer-kib list is empty".into()));
     }
-    if let Some(zero) = transfers_kib.iter().find(|&&t| t == 0) {
-        return Err(ToolError::BadArgs(format!(
-            "--transfer-kib {zero} must be positive"
-        )));
+    for &t in transfers_kib {
+        if t == 0 {
+            return Err(ToolError::BadArgs(format!(
+                "--transfer-kib {t} must be positive"
+            )));
+        }
+        bytes_of("--transfer-kib", t, KIB)?;
     }
     if segments == 0 {
         return Err(ToolError::BadArgs("--segments must be positive".into()));
@@ -750,32 +634,9 @@ pub fn cmd_ior_interfaces(transfers_kib: &[u64], segments: u32, ppn: u32) -> Too
     if ppn == 0 {
         return Err(ToolError::BadArgs("--ppn must be positive".into()));
     }
-    let spec = ClusterSpec::tcp(1, 2);
-    let point = |transfer_kib: u64, api: Api| IorParams {
-        transfer_bytes: transfer_kib * 1024,
-        segments,
-        procs_per_node: ppn,
-        class: ObjectClass::SX,
-        iterations: 1,
-        file_mode: FileMode::FilePerProcess,
-        inflight: 1,
-        api,
-    };
-    let rows = transfers_kib
-        .iter()
-        .map(|&t| {
-            let daos = run_ior(spec, point(t, Api::Daos));
-            let dfs = run_ior(spec, point(t, Api::Dfs));
-            InterfaceRow {
-                transfer_kib: t,
-                daos_write_bw: daos.write_bw(),
-                dfs_write_bw: dfs.write_bw(),
-                daos_read_bw: daos.read_bw(),
-                dfs_read_bw: dfs.read_bw(),
-            }
-        })
-        .collect();
-    Ok(Outcome::Interfaces { rows })
+    Ok(Outcome::Interfaces {
+        rows: interface_grid(transfers_kib, segments, ppn),
+    })
 }
 
 /// `daosctl info <archive>`
@@ -1046,6 +907,15 @@ mod tests {
     }
 
     #[test]
+    fn synth_trace_mib_overflow_names_the_flag() {
+        let a = TempArchive::new("trace-overflow");
+        // Wraps the field size, then the total write volume.
+        assert_names_flag(cmd_synth_trace(&a.0, 4, 2, 3, 1 << 44, 40), "--mib");
+        assert_names_flag(cmd_synth_trace(&a.0, 4, 2, 3, 1 << 40, 40), "--mib");
+        assert!(!a.0.exists());
+    }
+
+    #[test]
     fn init_refuses_to_clobber() {
         let a = TempArchive::new("clobber");
         cmd_init(&a.0, 8).unwrap();
@@ -1073,10 +943,11 @@ mod tests {
     fn nwp_cycle_runs_both_layouts_with_closed_accounting() {
         let out = cmd_nwp_cycle(2, 4, 2, 2, 64, 40, "both", "fifo", 7, false).unwrap();
         match out {
-            Outcome::Cycled { outcomes, faults } => {
-                assert!(!faults);
-                assert_eq!(outcomes.len(), 2);
-                for o in &outcomes {
+            Outcome::Cycled { rows } => {
+                assert_eq!(rows.len(), 2);
+                for r in &rows {
+                    assert!(!r.faults);
+                    let o = &r.outcome;
                     assert_eq!(o.admission, AdmissionPolicy::Fifo);
                     assert_eq!(o.deadlines_met + o.deadlines_missed, 2 * 2);
                     assert_eq!(o.fields_written, 2 * 2 * 2);
@@ -1090,7 +961,7 @@ mod tests {
     fn nwp_cycle_crosses_layouts_with_admission_policies() {
         let out = cmd_nwp_cycle(2, 4, 2, 2, 64, 40, "both", "both", 7, false).unwrap();
         match out {
-            Outcome::Cycled { outcomes, .. } => {
+            Outcome::Cycled { rows } => {
                 // Layout-major, admission-minor ordering.
                 let want = [
                     (IndexLayout::Shared, AdmissionPolicy::Fifo),
@@ -1098,8 +969,9 @@ mod tests {
                     (IndexLayout::PerProcess, AdmissionPolicy::Fifo),
                     (IndexLayout::PerProcess, AdmissionPolicy::writer_priority()),
                 ];
-                assert_eq!(outcomes.len(), want.len());
-                for (o, (layout, adm)) in outcomes.iter().zip(want) {
+                assert_eq!(rows.len(), want.len());
+                for (r, (layout, adm)) in rows.iter().zip(want) {
+                    let o = &r.outcome;
                     assert_eq!(o.layout, layout);
                     assert_eq!(o.admission, adm);
                     assert_eq!(o.deadlines_met + o.deadlines_missed, 2 * 2);
@@ -1146,7 +1018,7 @@ mod tests {
                 ];
                 assert_eq!(rows.len(), want.len());
                 for (r, (media, agg)) in rows.iter().zip(want) {
-                    assert_eq!(r.media, media);
+                    assert_eq!(r.media(), media);
                     assert_eq!(r.aggregation, agg);
                     assert_eq!(r.outcome.fields_written, 2 * 2 * 3);
                     assert!(r.outcome.scm_used > 0);
@@ -1174,7 +1046,7 @@ mod tests {
                 .into_iter()
                 .map(|r| {
                     (
-                        r.media,
+                        r.media(),
                         r.aggregation,
                         r.outcome.end_secs.to_bits(),
                         r.outcome.scm_used,
@@ -1249,12 +1121,71 @@ mod tests {
     fn nwp_cycle_with_faults_still_accounts_every_step() {
         let out = cmd_nwp_cycle(2, 2, 2, 2, 64, 40, "shared", "writer-priority", 3, true).unwrap();
         match out {
-            Outcome::Cycled { outcomes, faults } => {
-                assert!(faults);
-                assert_eq!(outcomes.len(), 1);
-                let o = &outcomes[0];
+            Outcome::Cycled { rows } => {
+                assert_eq!(rows.len(), 1);
+                assert!(rows[0].faults);
+                let o = &rows[0].outcome;
                 assert_eq!(o.admission, AdmissionPolicy::writer_priority());
                 assert_eq!(o.deadlines_met + o.deadlines_missed, 2 * 2);
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// `2^54` KiB is `2^64` bytes: one past `u64::MAX`.
+    const KIB_OVERFLOW: u64 = 1 << 54;
+
+    fn assert_names_flag(result: ToolResult, flag: &str) {
+        match result {
+            Err(ToolError::BadArgs(m)) => assert!(m.contains(flag), "{flag}: {m}"),
+            other => panic!("{flag}: expected BadArgs, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nwp_cycle_kib_overflow_names_the_flag() {
+        assert_names_flag(
+            cmd_nwp_cycle(2, 4, 2, 2, KIB_OVERFLOW, 40, "both", "fifo", 7, false),
+            "--kib",
+        );
+    }
+
+    #[test]
+    fn tiering_scm_mib_overflow_names_the_flag() {
+        assert_names_flag(
+            cmd_tiering(2, 4, 2, 3, 512, 16, 1 << 44, 1024, 7),
+            "--scm-mib",
+        );
+    }
+
+    #[test]
+    fn tiering_threshold_kib_overflow_names_the_flag() {
+        assert_names_flag(
+            cmd_tiering(2, 4, 2, 3, 512, 16, 12, KIB_OVERFLOW, 7),
+            "--threshold-kib",
+        );
+    }
+
+    #[test]
+    fn ior_interfaces_transfer_kib_overflow_names_the_flag() {
+        assert_names_flag(
+            cmd_ior_interfaces(&[16, KIB_OVERFLOW], 2, 2),
+            "--transfer-kib",
+        );
+    }
+
+    #[test]
+    fn fuzz_rejects_unknown_policy_and_zero_seeds() {
+        assert_names_flag(cmd_fuzz(4, 0, "bogus"), "--policy");
+        assert_names_flag(cmd_fuzz(0, 0, "all"), "--seeds");
+        match cmd_fuzz(4, 0, "lifo").unwrap() {
+            Outcome::Fuzzed {
+                seeds_run,
+                failures,
+                ..
+            } => {
+                assert_eq!(seeds_run, 4);
+                assert!(failures.is_empty(), "{failures:?}");
             }
             other => panic!("{other:?}"),
         }

@@ -1,7 +1,9 @@
 //! Every experiment runner executes end to end at quick scale and
-//! produces the expected table shape — the regeneration path itself is
-//! under test, not just the models beneath it.
+//! produces the expected table shape and well-formed JSON artifacts —
+//! the regeneration path itself is under test, not just the models
+//! beneath it.
 
+use daosim_core::obs::json_is_wellformed;
 use daosim_experiments::harness::Scale;
 use daosim_experiments::{run_experiment, EXPERIMENTS};
 
@@ -17,6 +19,11 @@ fn every_experiment_runs_at_quick_scale() {
             assert!(rendered.contains("=="), "{name} render broken");
             let csv = rep.to_csv();
             assert!(csv.lines().count() > 1, "{name} csv empty");
+            for (file, body) in rep.artifacts() {
+                if file.ends_with(".json") {
+                    assert!(json_is_wellformed(body), "{name}/{file} is malformed JSON");
+                }
+            }
         }
     }
 }
