@@ -98,6 +98,9 @@ pub struct CycleConfig {
 pub enum CycleConfigError {
     /// The named field must be at least one.
     Zero(&'static str),
+    /// The named span of the cycle does not fit in simulated time
+    /// (`u64` nanoseconds).
+    TimeOverflow(&'static str),
 }
 
 impl std::fmt::Display for CycleConfigError {
@@ -105,6 +108,9 @@ impl std::fmt::Display for CycleConfigError {
         match self {
             CycleConfigError::Zero(field) => {
                 write!(f, "cycle config: `{field}` must be at least 1")
+            }
+            CycleConfigError::TimeOverflow(span) => {
+                write!(f, "cycle config: {span} overflows simulated time")
             }
         }
     }
@@ -147,7 +153,8 @@ impl CycleConfig {
 
     /// Checks the shape invariants every cycle run relies on: a zero in
     /// any of these fields would divide by zero (`reader_pick`), stall a
-    /// pipeline window forever, or make the deadline ledger vacuous.
+    /// pipeline window forever, or make the deadline ledger vacuous; and
+    /// the cycle's span must fit in simulated time.
     pub fn validate(&self) -> Result<(), CycleConfigError> {
         for (name, v) in [
             ("writers", self.writers as u64),
@@ -163,6 +170,14 @@ impl CycleConfig {
                 return Err(CycleConfigError::Zero(name));
             }
         }
+        // The last deadline falls at `steps × step_interval`, and the
+        // backlog sampler watches one interval beyond it.
+        self.step_interval
+            .as_nanos()
+            .checked_mul(self.steps as u64 + 1)
+            .ok_or(CycleConfigError::TimeOverflow(
+                "(steps + 1) × step_interval",
+            ))?;
         Ok(())
     }
 }
@@ -730,6 +745,29 @@ mod tests {
             assert!(err.to_string().contains(field), "{err}");
             assert_eq!(cycle_contents(spec(), &cfg).unwrap_err(), err);
         }
+    }
+
+    #[test]
+    fn builder_rejects_a_cycle_span_past_simulated_time() {
+        // 2 steps of u64::MAX / 3 ns fit; the sampler's third interval
+        // does not.
+        let interval = SimDuration::from_nanos(u64::MAX / 3 + 1);
+        let err = CycleConfig::builder(IndexLayout::Shared)
+            .steps(2)
+            .step_interval(interval)
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, CycleConfigError::TimeOverflow(_)), "{err:?}");
+        assert!(err.to_string().contains("step_interval"), "{err}");
+        let mut cfg = CycleConfig::small(IndexLayout::Shared);
+        cfg.step_interval = interval;
+        assert_eq!(run_nwp_cycle(spec(), &cfg, None).unwrap_err(), err);
+        // One interval less fits.
+        CycleConfig::builder(IndexLayout::Shared)
+            .steps(2)
+            .step_interval(SimDuration::from_nanos(u64::MAX / 3))
+            .build()
+            .unwrap();
     }
 
     #[test]

@@ -43,7 +43,7 @@ use daosim_objstore::prelude::{
     DaosApi, DaosError, Event, EventQueue, ObjectClass, Oid, OidAllocator, OpOutput, Uuid,
 };
 
-use crate::key::{FieldKey, KeyPart, KeySchema};
+use crate::key::{FieldKey, KeySchema};
 
 /// Which parts of the scheme are active.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -231,9 +231,14 @@ impl std::error::Error for FieldIoError {
 
 pub type FieldResult<T> = std::result::Result<T, FieldIoError>;
 
-/// Annotates a DAOS result with field-I/O context (op name + key).
-fn dctx<T>(r: Result<T, DaosError>, op: &'static str, key: &str) -> FieldResult<T> {
-    r.map_err(|e| FieldIoError::daos(op, key, e))
+/// Annotates a DAOS result with field-I/O context (op name + key). The
+/// key's text is built only on the error path.
+fn dctx<T>(
+    r: Result<T, DaosError>,
+    op: &'static str,
+    key: &(impl fmt::Display + ?Sized),
+) -> FieldResult<T> {
+    r.map_err(|e| FieldIoError::daos(op, key.to_string(), e))
 }
 
 /// An index entry: store container, array oid, field length.
@@ -314,12 +319,24 @@ pub struct FieldStore<D: DaosApi> {
     main: D::Cont,
     main_kv: Oid,
     alloc: RefCell<OidAllocator>,
-    /// msk canonical -> (index container, store container) handles.
-    cont_cache: RefCell<HashMap<String, ContPair<D>>>,
+    /// msk canonical -> the forecast as this process resolved it.
+    forecasts: RefCell<HashMap<String, Forecast<D>>>,
 }
 
-/// Cached (index container, store container) handles for one forecast.
-type ContPair<D> = (<D as DaosApi>::Cont, <D as DaosApi>::Cont);
+/// One forecast, resolved once per process: everything a field op needs
+/// that depends only on the most-significant key, so its md5-derived
+/// names are computed once rather than on every op.
+#[derive(Clone)]
+struct Forecast<D: DaosApi> {
+    /// The index container, holding the forecast KV.
+    index: D::Cont,
+    /// The store container, holding the field Arrays.
+    store: D::Cont,
+    /// The forecast KV object.
+    kv: Oid,
+    /// The store container id that every index entry records.
+    store_uuid: Uuid,
+}
 
 /// The UUID of the main container (a deployment-wide constant).
 pub fn main_container_uuid() -> Uuid {
@@ -354,7 +371,7 @@ impl<D: DaosApi> FieldStore<D> {
             main,
             main_kv,
             alloc: RefCell::new(OidAllocator::new(client_id)),
-            cont_cache: RefCell::new(HashMap::new()),
+            forecasts: RefCell::new(HashMap::new()),
         })
     }
 
@@ -366,140 +383,127 @@ impl<D: DaosApi> FieldStore<D> {
         &self.client
     }
 
-    fn forecast_kv_oid(&self, msk: &KeyPart) -> Oid {
-        let digest = Uuid::from_name(format!("fkv:{}", msk.canonical()).as_bytes());
-        Oid::from_digest(&digest, self.cfg.kv_class)
-    }
-
-    fn noindex_oid(&self, key: &FieldKey) -> Oid {
-        let digest = Uuid::from_name(format!("field:{}", key.canonical()).as_bytes());
+    /// The `NoIndex` Array oid: md5 of the full canonical key `kc`.
+    fn noindex_oid(&self, kc: &str) -> Oid {
+        let digest = Uuid::from_name(format!("field:{kc}").as_bytes());
         Oid::from_digest(&digest, self.cfg.array_class)
     }
 
-    /// Opens (or creates, registering in the main KV) the forecast's
-    /// index and store containers, cached per process.
-    async fn forecast_containers(
-        &self,
-        msk: &KeyPart,
-        create_if_absent: bool,
-    ) -> FieldResult<(D::Cont, D::Cont)> {
-        let mkey = msk.canonical();
-        if let Some(pair) = self.cont_cache.borrow().get(&mkey) {
-            return Ok(pair.clone());
+    /// Resolves the forecast whose msk canonical string is `mkey`: opens
+    /// (or creates, registering in the main KV) its index and store
+    /// containers and derives its KV oid and store UUID. Only successful
+    /// resolutions are cached, so a forecast that another process
+    /// creates later still becomes visible (Algorithm 2's fail branch).
+    async fn forecast(&self, mkey: &str, create_if_absent: bool) -> FieldResult<Forecast<D>> {
+        if let Some(forecast) = self.forecasts.borrow().get(mkey) {
+            return Ok(forecast.clone());
         }
-        if self.cfg.mode == FieldIoMode::NoContainers {
+        // Query the main KV for the forecast (the index layering is
+        // mode-independent, so no-containers mode registers it too).
+        let registered = dctx(
+            self.client
+                .kv_get(&self.main, self.main_kv, mkey.as_bytes())
+                .await,
+            "kv_get",
+            mkey,
+        )?
+        .is_some();
+        if !registered && !create_if_absent {
+            return Err(FieldIoError::FieldNotFound(mkey.to_string()));
+        }
+        let kv = Oid::from_digest(
+            &Uuid::from_name(format!("fkv:{mkey}").as_bytes()),
+            self.cfg.kv_class,
+        );
+        let forecast = if self.cfg.mode == FieldIoMode::NoContainers {
             // Indexing layers stay; container layers collapse to main.
-            let pair = (self.main.clone(), self.main.clone());
-            // Still register the forecast in the main KV, as the real
-            // functions do (the index layering is mode-independent).
-            let registered = dctx(
-                self.client
-                    .kv_get(&self.main, self.main_kv, mkey.as_bytes())
-                    .await,
-                "kv_get",
-                &mkey,
-            )?
-            .is_some();
+            let main_uuid = main_container_uuid();
             if !registered {
-                if !create_if_absent {
-                    return Err(FieldIoError::FieldNotFound(mkey));
-                }
                 dctx(
                     self.client
                         .kv_put(
                             &self.main,
                             self.main_kv,
                             mkey.as_bytes(),
-                            Bytes::copy_from_slice(main_container_uuid().as_bytes()),
+                            Bytes::copy_from_slice(main_uuid.as_bytes()),
                         )
                         .await,
                     "kv_put",
-                    &mkey,
+                    mkey,
                 )?;
             }
-            self.cont_cache.borrow_mut().insert(mkey, pair.clone());
-            return Ok(pair);
-        }
-
-        // Full mode: query the main KV for the forecast's index container.
-        let index_uuid = Uuid::from_name(format!("cont-index:{mkey}").as_bytes());
-        let store_uuid = Uuid::from_name(format!("cont-store:{mkey}").as_bytes());
-        let hit = dctx(
-            self.client
-                .kv_get(&self.main, self.main_kv, mkey.as_bytes())
-                .await,
-            "kv_get",
-            &mkey,
-        )?;
-        let pair = if hit.is_some() {
-            let index = dctx(self.client.cont_open(index_uuid).await, "cont_open", &mkey)?;
-            let store = dctx(self.client.cont_open(store_uuid).await, "cont_open", &mkey)?;
-            (index, store)
-        } else {
-            if !create_if_absent {
-                return Err(FieldIoError::FieldNotFound(mkey));
+            Forecast {
+                index: self.main.clone(),
+                store: self.main.clone(),
+                kv,
+                store_uuid: main_uuid,
             }
-            // Create both containers (md5-named: racing creators agree),
-            // record the store container id in a special entry of the
-            // newly created forecast KV, then register in the main KV.
-            let index = dctx(
-                self.client.cont_open_or_create(index_uuid).await,
-                "cont_open_or_create",
-                &mkey,
-            )?;
-            let store = dctx(
-                self.client.cont_open_or_create(store_uuid).await,
-                "cont_open_or_create",
-                &mkey,
-            )?;
-            let fkv = self.forecast_kv_oid(msk);
-            dctx(
-                self.client
-                    .kv_put(
-                        &index,
-                        fkv,
-                        b"__store_container__",
-                        Bytes::copy_from_slice(store_uuid.as_bytes()),
-                    )
-                    .await,
-                "kv_put",
-                &mkey,
-            )?;
-            dctx(
-                self.client
-                    .kv_put(
-                        &self.main,
-                        self.main_kv,
-                        mkey.as_bytes(),
-                        Bytes::copy_from_slice(index_uuid.as_bytes()),
-                    )
-                    .await,
-                "kv_put",
-                &mkey,
-            )?;
-            (index, store)
-        };
-        self.cont_cache.borrow_mut().insert(mkey, pair.clone());
-        Ok(pair)
-    }
-
-    fn index_entry_for(&self, msk: &KeyPart, oid: Oid, len: u64) -> IndexEntry {
-        IndexEntry {
-            store_cont: if self.cfg.mode == FieldIoMode::NoContainers {
-                main_container_uuid()
+        } else {
+            let index_uuid = Uuid::from_name(format!("cont-index:{mkey}").as_bytes());
+            let store_uuid = Uuid::from_name(format!("cont-store:{mkey}").as_bytes());
+            let (index, store) = if registered {
+                let index = dctx(self.client.cont_open(index_uuid).await, "cont_open", mkey)?;
+                let store = dctx(self.client.cont_open(store_uuid).await, "cont_open", mkey)?;
+                (index, store)
             } else {
-                Uuid::from_name(format!("cont-store:{}", msk.canonical()).as_bytes())
-            },
-            oid,
-            len,
-        }
+                // Create both containers (md5-named: racing creators
+                // agree), record the store container id in a special
+                // entry of the newly created forecast KV, then register
+                // in the main KV.
+                let index = dctx(
+                    self.client.cont_open_or_create(index_uuid).await,
+                    "cont_open_or_create",
+                    mkey,
+                )?;
+                let store = dctx(
+                    self.client.cont_open_or_create(store_uuid).await,
+                    "cont_open_or_create",
+                    mkey,
+                )?;
+                dctx(
+                    self.client
+                        .kv_put(
+                            &index,
+                            kv,
+                            b"__store_container__",
+                            Bytes::copy_from_slice(store_uuid.as_bytes()),
+                        )
+                        .await,
+                    "kv_put",
+                    mkey,
+                )?;
+                dctx(
+                    self.client
+                        .kv_put(
+                            &self.main,
+                            self.main_kv,
+                            mkey.as_bytes(),
+                            Bytes::copy_from_slice(index_uuid.as_bytes()),
+                        )
+                        .await,
+                    "kv_put",
+                    mkey,
+                )?;
+                (index, store)
+            };
+            Forecast {
+                index,
+                store,
+                kv,
+                store_uuid,
+            }
+        };
+        self.forecasts
+            .borrow_mut()
+            .insert(mkey.to_string(), forecast.clone());
+        Ok(forecast)
     }
 
     /// Algorithm 1: field write.
     pub async fn write_field(&self, key: &FieldKey, data: Bytes) -> FieldResult<()> {
-        let kc = key.canonical();
         if self.cfg.mode == FieldIoMode::NoIndex {
-            let oid = self.noindex_oid(key);
+            let kc = key.canonical();
+            let oid = self.noindex_oid(&kc);
             let h = dctx(
                 self.client.array_open_or_create(&self.main, oid).await,
                 "array_open_or_create",
@@ -517,41 +521,47 @@ impl<D: DaosApi> FieldStore<D> {
             )?;
             return Ok(());
         }
-        let (msk, lsk) = key.split(&self.cfg.schema);
-        let (index, store) = self.forecast_containers(&msk, true).await?;
+        let (mkey, lkey) = key.split_canonical(&self.cfg.schema);
+        let fc = self.forecast(&mkey, true).await?;
         // Write the field into a brand-new Array in the store container.
         let oid = self.alloc.borrow_mut().next(self.cfg.array_class);
-        let len = data.len() as u64;
+        let entry = IndexEntry {
+            store_cont: fc.store_uuid,
+            oid,
+            len: data.len() as u64,
+        };
         let h = dctx(
-            self.client.array_create(&store, oid).await,
+            self.client.array_create(&fc.store, oid).await,
             "array_create",
-            &kc,
+            key,
         )?;
         dctx(
-            self.client.array_write(&store, &h, 0, data).await,
+            self.client.array_write(&fc.store, &h, 0, data).await,
             "array_write",
-            &kc,
+            key,
         )?;
-        dctx(self.client.array_close(&store, h).await, "array_close", &kc)?;
+        dctx(
+            self.client.array_close(&fc.store, h).await,
+            "array_close",
+            key,
+        )?;
         // Index it in the forecast KV (re-writes re-point the entry; the
         // previous array is de-referenced but never deleted).
-        let entry = self.index_entry_for(&msk, oid, len);
-        let fkv = self.forecast_kv_oid(&msk);
         dctx(
             self.client
-                .kv_put(&index, fkv, lsk.canonical().as_bytes(), entry.encode())
+                .kv_put(&fc.index, fc.kv, lkey.as_bytes(), entry.encode())
                 .await,
             "kv_put",
-            &kc,
+            key,
         )?;
         Ok(())
     }
 
     /// Algorithm 2: field read.
     pub async fn read_field(&self, key: &FieldKey) -> FieldResult<Bytes> {
-        let kc = key.canonical();
         if self.cfg.mode == FieldIoMode::NoIndex {
-            let oid = self.noindex_oid(key);
+            let kc = key.canonical();
+            let oid = self.noindex_oid(&kc);
             let h = self
                 .client
                 .array_open(&self.main, oid)
@@ -577,30 +587,31 @@ impl<D: DaosApi> FieldStore<D> {
             )?;
             return Ok(data);
         }
-        let (msk, lsk) = key.split(&self.cfg.schema);
-        let (index, store) = self.forecast_containers(&msk, false).await?;
-        let fkv = self.forecast_kv_oid(&msk);
+        let (mkey, lkey) = key.split_canonical(&self.cfg.schema);
+        let fc = self.forecast(&mkey, false).await?;
         let raw = dctx(
-            self.client
-                .kv_get(&index, fkv, lsk.canonical().as_bytes())
-                .await,
+            self.client.kv_get(&fc.index, fc.kv, lkey.as_bytes()).await,
             "kv_get",
-            &kc,
+            key,
         )?
-        .ok_or_else(|| FieldIoError::FieldNotFound(kc.clone()))?;
+        .ok_or_else(|| FieldIoError::FieldNotFound(key.canonical()))?;
         let entry =
-            IndexEntry::decode(&raw).ok_or_else(|| FieldIoError::BadIndexEntry(kc.clone()))?;
+            IndexEntry::decode(&raw).ok_or_else(|| FieldIoError::BadIndexEntry(key.canonical()))?;
         let h = dctx(
-            self.client.array_open(&store, entry.oid).await,
+            self.client.array_open(&fc.store, entry.oid).await,
             "array_open",
-            &kc,
+            key,
         )?;
         let data = dctx(
-            self.client.array_read(&store, &h, 0, entry.len).await,
+            self.client.array_read(&fc.store, &h, 0, entry.len).await,
             "array_read",
-            &kc,
+            key,
         )?;
-        dctx(self.client.array_close(&store, h).await, "array_close", &kc)?;
+        dctx(
+            self.client.array_close(&fc.store, h).await,
+            "array_close",
+            key,
+        )?;
         Ok(data)
     }
 
@@ -614,20 +625,22 @@ impl<D: DaosApi> FieldStore<D> {
             // md5-stable oids are always "referenced" by construction.
             return Ok(0);
         }
-        let (msk, _) = forecast.split(&self.cfg.schema);
-        let mkey = msk.canonical();
-        let (index, store) = self.forecast_containers(&msk, false).await?;
-        let fkv = self.forecast_kv_oid(&msk);
+        let (mkey, _) = forecast.split_canonical(&self.cfg.schema);
+        let fc = self.forecast(&mkey, false).await?;
         // Collect the oids the index still references.
         let mut live: std::collections::HashSet<Oid> = std::collections::HashSet::new();
         for k in dctx(
             self.client
-                .kv_list_range(&index, fkv, Bytes::from_static(FIELD_KEYS_FROM), None)
+                .kv_list_range(&fc.index, fc.kv, Bytes::from_static(FIELD_KEYS_FROM), None)
                 .await,
             "kv_list_range",
             &mkey,
         )? {
-            if let Some(raw) = dctx(self.client.kv_get(&index, fkv, &k).await, "kv_get", &mkey)? {
+            if let Some(raw) = dctx(
+                self.client.kv_get(&fc.index, fc.kv, &k).await,
+                "kv_get",
+                &mkey,
+            )? {
                 if let Some(entry) = IndexEntry::decode(&raw) {
                     live.insert(entry.oid);
                 }
@@ -642,7 +655,7 @@ impl<D: DaosApi> FieldStore<D> {
         // object as an Array and skipping anything still referenced.
         let mut purged = 0usize;
         for oid in dctx(
-            self.client.list_array_objects(&store).await,
+            self.client.list_array_objects(&fc.store).await,
             "list_array_objects",
             &mkey,
         )? {
@@ -659,7 +672,7 @@ impl<D: DaosApi> FieldStore<D> {
             if self.cfg.mode == FieldIoMode::NoContainers {
                 continue;
             }
-            match self.client.obj_punch(&store, oid).await {
+            match self.client.obj_punch(&fc.store, oid).await {
                 Ok(()) | Err(DaosError::ObjNotFound(_)) => purged += 1,
                 Err(e) => return Err(FieldIoError::daos("obj_punch", mkey, e)),
             }
@@ -681,24 +694,26 @@ impl<D: DaosApi> FieldStore<D> {
                 DaosError::InvalidArg("no-index mode keeps no listings to wipe"),
             ));
         }
-        let (msk, _) = forecast.split(&self.cfg.schema);
-        let mkey = msk.canonical();
-        let (index, store) = self.forecast_containers(&msk, false).await?;
-        let fkv = self.forecast_kv_oid(&msk);
+        let (mkey, _) = forecast.split_canonical(&self.cfg.schema);
+        let fc = self.forecast(&mkey, false).await?;
         let keys = dctx(
             self.client
-                .kv_list_range(&index, fkv, Bytes::from_static(FIELD_KEYS_FROM), None)
+                .kv_list_range(&fc.index, fc.kv, Bytes::from_static(FIELD_KEYS_FROM), None)
                 .await,
             "kv_list_range",
             &mkey,
         )?;
         let mut removed = 0usize;
         for k in keys {
-            if let Some(raw) = dctx(self.client.kv_get(&index, fkv, &k).await, "kv_get", &mkey)? {
+            if let Some(raw) = dctx(
+                self.client.kv_get(&fc.index, fc.kv, &k).await,
+                "kv_get",
+                &mkey,
+            )? {
                 if let Some(entry) = IndexEntry::decode(&raw) {
                     // Punch may fail if a concurrent wipe raced us; treat
                     // an absent object as already punched.
-                    match self.client.obj_punch(&store, entry.oid).await {
+                    match self.client.obj_punch(&fc.store, entry.oid).await {
                         Ok(()) | Err(DaosError::ObjNotFound(_)) => {}
                         Err(e) => return Err(FieldIoError::daos("obj_punch", mkey, e)),
                     }
@@ -707,11 +722,11 @@ impl<D: DaosApi> FieldStore<D> {
             removed += 1;
         }
         // Drop the index object and the main registration.
-        match self.client.obj_punch(&index, fkv).await {
+        match self.client.obj_punch(&fc.index, fc.kv).await {
             Ok(()) | Err(DaosError::ObjNotFound(_)) => {}
             Err(e) => return Err(FieldIoError::daos("obj_punch", mkey, e)),
         }
-        self.cont_cache.borrow_mut().remove(&mkey);
+        self.forecasts.borrow_mut().remove(&mkey);
         Ok(removed)
     }
 
@@ -725,15 +740,14 @@ impl<D: DaosApi> FieldStore<D> {
                 DaosError::InvalidArg("no-index mode keeps no listings"),
             ));
         }
-        let (msk, _) = forecast.split(&self.cfg.schema);
-        let (index, _) = self.forecast_containers(&msk, false).await?;
-        let fkv = self.forecast_kv_oid(&msk);
+        let (mkey, _) = forecast.split_canonical(&self.cfg.schema);
+        let fc = self.forecast(&mkey, false).await?;
         let keys = dctx(
             self.client
-                .kv_list_range(&index, fkv, Bytes::from_static(FIELD_KEYS_FROM), None)
+                .kv_list_range(&fc.index, fc.kv, Bytes::from_static(FIELD_KEYS_FROM), None)
                 .await,
             "kv_list_range",
-            &msk.canonical(),
+            &mkey,
         )?;
         Ok(keys
             .into_iter()
@@ -769,7 +783,7 @@ impl<D: DaosApi> FieldStore<D> {
         let client = self.client.clone();
         if self.cfg.mode == FieldIoMode::NoIndex {
             let main = self.main.clone();
-            let oid = self.noindex_oid(key);
+            let oid = self.noindex_oid(&key.canonical());
             return Ok(eq.submit(async move {
                 let h = client.array_open_or_create(&main, oid).await?;
                 client.array_write(&main, &h, 0, data).await?;
@@ -777,12 +791,19 @@ impl<D: DaosApi> FieldStore<D> {
                 Ok(OpOutput::Unit)
             }));
         }
-        let (msk, lsk) = key.split(&self.cfg.schema);
-        let (index, store) = self.forecast_containers(&msk, true).await?;
+        let (mkey, lkey) = key.split_canonical(&self.cfg.schema);
+        let Forecast {
+            index,
+            store,
+            kv,
+            store_uuid,
+        } = self.forecast(&mkey, true).await?;
         let oid = self.alloc.borrow_mut().next(self.cfg.array_class);
-        let entry = self.index_entry_for(&msk, oid, data.len() as u64);
-        let fkv = self.forecast_kv_oid(&msk);
-        let lsk_bytes = lsk.canonical().into_bytes();
+        let entry = IndexEntry {
+            store_cont: store_uuid,
+            oid,
+            len: data.len() as u64,
+        };
         Ok(eq.submit(async move {
             let h = client.array_create(&store, oid).await?;
             // The field's Array data write and its index KV update have
@@ -794,9 +815,12 @@ impl<D: DaosApi> FieldStore<D> {
                     data_client.array_write(&data_store, &h, 0, data).await?;
                     data_client.array_close(&data_store, h).await
                 });
-            let index_branch: Pin<Box<dyn Future<Output = Result<(), DaosError>>>> = Box::pin(
-                async move { client.kv_put(&index, fkv, &lsk_bytes, entry.encode()).await },
-            );
+            let index_branch: Pin<Box<dyn Future<Output = Result<(), DaosError>>>> =
+                Box::pin(async move {
+                    client
+                        .kv_put(&index, kv, lkey.as_bytes(), entry.encode())
+                        .await
+                });
             for r in join_all(vec![data_branch, index_branch]).await {
                 r?;
             }
@@ -826,18 +850,18 @@ impl<D: DaosApi> FieldStore<D> {
             res: Result<OpOutput, DaosError>,
         ) {
             let slot = slots.remove(&ev).expect("unknown event completed");
-            let kc = keys[slot].canonical();
+            let kc = || keys[slot].canonical();
             results[slot] = Some(match res {
                 Ok(OpOutput::Data(d)) => Ok(d),
                 Ok(other) => panic!("read composite resolved to {other:?}"),
                 // Sentinels the composite uses for index misses.
                 Err(DaosError::KeyNotFound(_)) | Err(DaosError::ObjNotFound(_)) => {
-                    Err(FieldIoError::FieldNotFound(kc))
+                    Err(FieldIoError::FieldNotFound(kc()))
                 }
                 Err(DaosError::InvalidArg("bad index entry")) => {
-                    Err(FieldIoError::BadIndexEntry(kc))
+                    Err(FieldIoError::BadIndexEntry(kc()))
                 }
-                Err(e) => Err(FieldIoError::daos("read_field", kc, e)),
+                Err(e) => Err(FieldIoError::daos("read_field", kc(), e)),
             });
         }
 
@@ -869,7 +893,7 @@ impl<D: DaosApi> FieldStore<D> {
         let client = self.client.clone();
         if self.cfg.mode == FieldIoMode::NoIndex {
             let main = self.main.clone();
-            let oid = self.noindex_oid(key);
+            let oid = self.noindex_oid(&key.canonical());
             return Ok(eq.submit(async move {
                 let h = client.array_open(&main, oid).await?;
                 let len = client.array_size(&main, &h).await?;
@@ -878,21 +902,17 @@ impl<D: DaosApi> FieldStore<D> {
                 Ok(OpOutput::Data(data))
             }));
         }
-        let (msk, lsk) = key.split(&self.cfg.schema);
-        let (index, store) = self.forecast_containers(&msk, false).await?;
-        let fkv = self.forecast_kv_oid(&msk);
-        let lsk_bytes = lsk.canonical().into_bytes();
+        let (mkey, lkey) = key.split_canonical(&self.cfg.schema);
+        let fc = self.forecast(&mkey, false).await?;
         Ok(eq.submit(async move {
             let raw = client
-                .kv_get(&index, fkv, &lsk_bytes)
+                .kv_get(&fc.index, fc.kv, lkey.as_bytes())
                 .await?
-                .ok_or_else(|| {
-                    DaosError::KeyNotFound(String::from_utf8_lossy(&lsk_bytes).into_owned())
-                })?;
+                .ok_or_else(|| DaosError::KeyNotFound(lkey.clone()))?;
             let entry = IndexEntry::decode(&raw).ok_or(DaosError::InvalidArg("bad index entry"))?;
-            let h = client.array_open(&store, entry.oid).await?;
-            let data = client.array_read(&store, &h, 0, entry.len).await?;
-            client.array_close(&store, h).await?;
+            let h = client.array_open(&fc.store, entry.oid).await?;
+            let data = client.array_read(&fc.store, &h, 0, entry.len).await?;
+            client.array_close(&fc.store, h).await?;
             Ok(OpOutput::Data(data))
         }))
     }
@@ -1020,8 +1040,9 @@ impl<D: DaosApi> PipelinedWriter<'_, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daosim_objstore::prelude::EmbeddedClient;
+    use daosim_objstore::prelude::{ArrayHandle, EmbeddedClient, OpFuture};
     use daosim_objstore::DaosStore;
+    use std::rc::Rc;
 
     fn block_on<F: std::future::Future>(fut: F) -> F::Output {
         let waker = std::task::Waker::noop();
@@ -1054,6 +1075,13 @@ mod tests {
             1,
         ))
         .unwrap()
+    }
+
+    #[test]
+    fn embedded_field_store_moves_across_threads() {
+        // Benchmarks and tools drive one FieldStore per thread.
+        fn assert_send<T: Send>() {}
+        assert_send::<FieldStore<EmbeddedClient>>();
     }
 
     #[test]
@@ -1113,6 +1141,36 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(store_cont.object_count(), 2);
+    }
+
+    #[test]
+    fn unknown_forecast_is_not_cached() {
+        // A read of a forecast nobody has written fails without caching
+        // the miss: once another process creates the forecast, the same
+        // reader sees it.
+        for mode in [FieldIoMode::Full, FieldIoMode::NoContainers] {
+            let (_s, pool) = DaosStore::with_single_pool(24);
+            let cfg = FieldIoConfig::builder().mode(mode).build();
+            let reader = block_on(FieldStore::connect(
+                EmbeddedClient::new(pool.clone()),
+                cfg.clone(),
+                1,
+            ))
+            .unwrap();
+            let writer = block_on(FieldStore::connect(EmbeddedClient::new(pool), cfg, 2)).unwrap();
+            let msk = "class=od,date=20201224,expver=0001,time=0000";
+            assert_eq!(
+                block_on(reader.read_field(&key(0))),
+                Err(FieldIoError::FieldNotFound(msk.to_string())),
+                "mode {mode}"
+            );
+            block_on(writer.write_field(&key(0), Bytes::from_static(b"late"))).unwrap();
+            assert_eq!(
+                block_on(reader.read_field(&key(0))).unwrap().as_ref(),
+                b"late",
+                "mode {mode}"
+            );
+        }
     }
 
     #[test]
@@ -1322,7 +1380,7 @@ mod tests {
         match &err {
             FieldIoError::Daos { op, key: k, source } => {
                 assert_eq!(*op, "array_write");
-                assert!(k.contains("class=od"), "key context missing: {k}");
+                assert_eq!(*k, key(24).canonical());
                 assert_eq!(*source, DaosError::NoSpace);
             }
             other => panic!("expected contextual Daos error, got {other:?}"),
@@ -1330,6 +1388,12 @@ mod tests {
         assert!(!err.is_transient());
         assert!(err.daos_source().is_some());
         assert!(err.to_string().contains("failed for"));
+        // A read miss in an existing forecast names the full field key.
+        block_on(fs.write_field(&key(0), Bytes::from_static(b"x"))).unwrap();
+        assert_eq!(
+            block_on(fs.read_field(&key(48))),
+            Err(FieldIoError::FieldNotFound(key(48).canonical()))
+        );
         // Not-found paths stay non-DAOS and non-transient.
         let nf = FieldIoError::FieldNotFound("k".into());
         assert!(!nf.is_transient());
@@ -1363,7 +1427,6 @@ mod tests {
 
     #[test]
     fn pipelined_writer_delivers_callbacks() {
-        use std::rc::Rc;
         let fs = store(FieldIoMode::Full);
         let done: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
         block_on(async {
@@ -1431,6 +1494,353 @@ mod tests {
                 Err(FieldIoError::FieldNotFound(_)) => {}
                 other => panic!("mode {mode}: expected FieldNotFound, got {other:?}"),
             }
+        }
+    }
+
+    /// A `DaosApi` that logs every call — op, container UUID, oid, KV key
+    /// and value bytes — before delegating to the embedded backend.
+    #[derive(Clone)]
+    struct Recording {
+        inner: EmbeddedClient,
+        log: Rc<RefCell<Vec<String>>>,
+    }
+
+    type Cont = <EmbeddedClient as DaosApi>::Cont;
+
+    impl Recording {
+        fn rec(&self, op: &str, cont: &Cont, oid: Oid, rest: std::fmt::Arguments<'_>) {
+            let line = format!("{op} {} {oid} {rest}", cont.uuid());
+            self.log.borrow_mut().push(line.trim_end().to_string());
+        }
+    }
+
+    fn hex(b: &[u8]) -> String {
+        b.iter().map(|x| format!("{x:02x}")).collect()
+    }
+
+    fn text(b: &[u8]) -> String {
+        String::from_utf8_lossy(b).into_owned()
+    }
+
+    impl DaosApi for Recording {
+        type Cont = Cont;
+
+        async fn cont_open_or_create(&self, uuid: Uuid) -> Result<Cont, DaosError> {
+            self.log
+                .borrow_mut()
+                .push(format!("cont_open_or_create {uuid}"));
+            self.inner.cont_open_or_create(uuid).await
+        }
+
+        async fn cont_open(&self, uuid: Uuid) -> Result<Cont, DaosError> {
+            self.log.borrow_mut().push(format!("cont_open {uuid}"));
+            self.inner.cont_open(uuid).await
+        }
+
+        async fn kv_put(&self, c: &Cont, oid: Oid, key: &[u8], v: Bytes) -> Result<(), DaosError> {
+            self.rec("kv_put", c, oid, format_args!("{} {}", text(key), hex(&v)));
+            self.inner.kv_put(c, oid, key, v).await
+        }
+
+        async fn kv_get(&self, c: &Cont, oid: Oid, key: &[u8]) -> Result<Option<Bytes>, DaosError> {
+            self.rec("kv_get", c, oid, format_args!("{}", text(key)));
+            self.inner.kv_get(c, oid, key).await
+        }
+
+        async fn kv_remove(&self, c: &Cont, oid: Oid, key: &[u8]) -> Result<(), DaosError> {
+            self.rec("kv_remove", c, oid, format_args!("{}", text(key)));
+            self.inner.kv_remove(c, oid, key).await
+        }
+
+        async fn kv_list_keys(&self, c: &Cont, oid: Oid) -> Result<Vec<Bytes>, DaosError> {
+            self.rec("kv_list_keys", c, oid, format_args!(""));
+            self.inner.kv_list_keys(c, oid).await
+        }
+
+        async fn array_create(&self, c: &Cont, oid: Oid) -> Result<ArrayHandle, DaosError> {
+            self.rec("array_create", c, oid, format_args!(""));
+            self.inner.array_create(c, oid).await
+        }
+
+        async fn array_open(&self, c: &Cont, oid: Oid) -> Result<ArrayHandle, DaosError> {
+            self.rec("array_open", c, oid, format_args!(""));
+            self.inner.array_open(c, oid).await
+        }
+
+        async fn array_open_or_create(&self, c: &Cont, oid: Oid) -> Result<ArrayHandle, DaosError> {
+            self.rec("array_open_or_create", c, oid, format_args!(""));
+            self.inner.array_open_or_create(c, oid).await
+        }
+
+        async fn array_write(
+            &self,
+            c: &Cont,
+            h: &ArrayHandle,
+            offset: u64,
+            data: Bytes,
+        ) -> Result<(), DaosError> {
+            self.rec(
+                "array_write",
+                c,
+                h.oid(),
+                format_args!("@{offset} {}", hex(&data)),
+            );
+            self.inner.array_write(c, h, offset, data).await
+        }
+
+        async fn array_read(
+            &self,
+            c: &Cont,
+            h: &ArrayHandle,
+            offset: u64,
+            len: u64,
+        ) -> Result<Bytes, DaosError> {
+            self.rec("array_read", c, h.oid(), format_args!("@{offset}+{len}"));
+            self.inner.array_read(c, h, offset, len).await
+        }
+
+        async fn array_size(&self, c: &Cont, h: &ArrayHandle) -> Result<u64, DaosError> {
+            self.rec("array_size", c, h.oid(), format_args!(""));
+            self.inner.array_size(c, h).await
+        }
+
+        async fn array_close(&self, c: &Cont, h: ArrayHandle) -> Result<(), DaosError> {
+            self.rec("array_close", c, h.oid(), format_args!(""));
+            self.inner.array_close(c, h).await
+        }
+
+        async fn obj_punch(&self, c: &Cont, oid: Oid) -> Result<(), DaosError> {
+            self.rec("obj_punch", c, oid, format_args!(""));
+            self.inner.obj_punch(c, oid).await
+        }
+
+        async fn list_array_objects(&self, c: &Cont) -> Result<Vec<Oid>, DaosError> {
+            self.log
+                .borrow_mut()
+                .push(format!("list_array_objects {}", c.uuid()));
+            self.inner.list_array_objects(c).await
+        }
+
+        fn pool_targets(&self) -> u32 {
+            self.inner.pool_targets()
+        }
+
+        fn spawn_op(&self, op: OpFuture) {
+            self.inner.spawn_op(op)
+        }
+    }
+
+    /// The DAOS calls of four processes sharing one pool, per mode: A
+    /// writes two fields of a new forecast (`write_field`), B reads them
+    /// back (`read_field`), C writes two more through the pipelined
+    /// writer and D reads C's fields pipelined. Each process's first op
+    /// resolves the forecast (cache miss); its second is a cache hit.
+    /// Container UUIDs and KV oids are shown by name.
+    fn recorded_calls(mode: FieldIoMode) -> String {
+        let (_s, pool) = DaosStore::with_single_pool(24);
+        let log: Rc<RefCell<Vec<String>>> = Rc::default();
+        let connect = |client_id| {
+            let client = Recording {
+                inner: EmbeddedClient::new(pool.clone()),
+                log: Rc::clone(&log),
+            };
+            let cfg = FieldIoConfig::builder().mode(mode).build();
+            block_on(FieldStore::connect(client, cfg, client_id)).unwrap()
+        };
+        let a = connect(1);
+        block_on(a.write_field(&key(0), Bytes::from_static(b"a"))).unwrap();
+        block_on(a.write_field(&key(24), Bytes::from_static(b"b"))).unwrap();
+        let b = connect(2);
+        assert_eq!(block_on(b.read_field(&key(0))).unwrap().as_ref(), b"a");
+        assert_eq!(block_on(b.read_field(&key(24))).unwrap().as_ref(), b"b");
+        let c = connect(3);
+        block_on(async {
+            let mut w = c.pipelined_writer(2);
+            w.submit(&key(48), Bytes::from_static(b"c")).await.unwrap();
+            w.submit(&key(72), Bytes::from_static(b"d")).await.unwrap();
+            w.flush().await.unwrap();
+        });
+        let d = connect(4);
+        let got = block_on(d.read_fields_pipelined(&[key(48), key(72)], 2));
+        assert_eq!(got[0].as_ref().unwrap().as_ref(), b"c");
+        assert_eq!(got[1].as_ref().unwrap().as_ref(), b"d");
+
+        let msk = "class=od,date=20201224,expver=0001,time=0000";
+        let names = [
+            (main_container_uuid().to_string(), "main"),
+            (
+                Uuid::from_name(format!("cont-index:{msk}").as_bytes()).to_string(),
+                "index",
+            ),
+            (
+                Uuid::from_name(format!("cont-store:{msk}").as_bytes()).to_string(),
+                "store",
+            ),
+            (
+                Oid::from_digest(&Uuid::from_name(b"daosim:main-kv"), ObjectClass::SX).to_string(),
+                "main-kv",
+            ),
+            (
+                Oid::from_digest(
+                    &Uuid::from_name(format!("fkv:{msk}").as_bytes()),
+                    ObjectClass::SX,
+                )
+                .to_string(),
+                "fkv",
+            ),
+        ];
+        let mut text = log.borrow().join("\n");
+        for (raw, name) in names {
+            text = text.replace(&raw, name);
+        }
+        text
+    }
+
+    /// `recorded_calls(FieldIoMode::Full)`.
+    const FULL_CALLS: &[&str] = &[
+        "cont_open_or_create main",
+        "kv_get main main-kv class=od,date=20201224,expver=0001,time=0000",
+        "cont_open_or_create index",
+        "cont_open_or_create store",
+        "kv_put index fkv __store_container__ 2939bdd81b43826a59d15f4fbeb3972f",
+        "kv_put main main-kv class=od,date=20201224,expver=0001,time=0000 15fadcec4acaedce3e7045ec8e75a608",
+        "array_create store 0000000100000001.0000000000000000",
+        "array_write store 0000000100000001.0000000000000000 @0 61",
+        "array_close store 0000000100000001.0000000000000000",
+        "kv_put index fkv levelist=500,param=t,step=0 2939bdd81b43826a59d15f4fbeb3972f010000000100000000000000000000000000000001",
+        "array_create store 0000000100000001.0000000000000001",
+        "array_write store 0000000100000001.0000000000000001 @0 62",
+        "array_close store 0000000100000001.0000000000000001",
+        "kv_put index fkv levelist=500,param=t,step=24 2939bdd81b43826a59d15f4fbeb3972f010000000100000000000000010000000000000001",
+        "cont_open_or_create main",
+        "kv_get main main-kv class=od,date=20201224,expver=0001,time=0000",
+        "cont_open index",
+        "cont_open store",
+        "kv_get index fkv levelist=500,param=t,step=0",
+        "array_open store 0000000100000001.0000000000000000",
+        "array_read store 0000000100000001.0000000000000000 @0+1",
+        "array_close store 0000000100000001.0000000000000000",
+        "kv_get index fkv levelist=500,param=t,step=24",
+        "array_open store 0000000100000001.0000000000000001",
+        "array_read store 0000000100000001.0000000000000001 @0+1",
+        "array_close store 0000000100000001.0000000000000001",
+        "cont_open_or_create main",
+        "kv_get main main-kv class=od,date=20201224,expver=0001,time=0000",
+        "cont_open index",
+        "cont_open store",
+        "array_create store 0000000100000003.0000000000000000",
+        "array_write store 0000000100000003.0000000000000000 @0 63",
+        "array_close store 0000000100000003.0000000000000000",
+        "kv_put index fkv levelist=500,param=t,step=48 2939bdd81b43826a59d15f4fbeb3972f010000000300000000000000000000000000000001",
+        "array_create store 0000000100000003.0000000000000001",
+        "array_write store 0000000100000003.0000000000000001 @0 64",
+        "array_close store 0000000100000003.0000000000000001",
+        "kv_put index fkv levelist=500,param=t,step=72 2939bdd81b43826a59d15f4fbeb3972f010000000300000000000000010000000000000001",
+        "cont_open_or_create main",
+        "kv_get main main-kv class=od,date=20201224,expver=0001,time=0000",
+        "cont_open index",
+        "cont_open store",
+        "kv_get index fkv levelist=500,param=t,step=48",
+        "array_open store 0000000100000003.0000000000000000",
+        "array_read store 0000000100000003.0000000000000000 @0+1",
+        "array_close store 0000000100000003.0000000000000000",
+        "kv_get index fkv levelist=500,param=t,step=72",
+        "array_open store 0000000100000003.0000000000000001",
+        "array_read store 0000000100000003.0000000000000001 @0+1",
+        "array_close store 0000000100000003.0000000000000001",
+    ];
+
+    /// `recorded_calls(FieldIoMode::NoContainers)`.
+    const NO_CONTAINERS_CALLS: &[&str] = &[
+        "cont_open_or_create main",
+        "kv_get main main-kv class=od,date=20201224,expver=0001,time=0000",
+        "kv_put main main-kv class=od,date=20201224,expver=0001,time=0000 25a4970c5bf8d43ca00f04960edc83c9",
+        "array_create main 0000000100000001.0000000000000000",
+        "array_write main 0000000100000001.0000000000000000 @0 61",
+        "array_close main 0000000100000001.0000000000000000",
+        "kv_put main fkv levelist=500,param=t,step=0 25a4970c5bf8d43ca00f04960edc83c9010000000100000000000000000000000000000001",
+        "array_create main 0000000100000001.0000000000000001",
+        "array_write main 0000000100000001.0000000000000001 @0 62",
+        "array_close main 0000000100000001.0000000000000001",
+        "kv_put main fkv levelist=500,param=t,step=24 25a4970c5bf8d43ca00f04960edc83c9010000000100000000000000010000000000000001",
+        "cont_open_or_create main",
+        "kv_get main main-kv class=od,date=20201224,expver=0001,time=0000",
+        "kv_get main fkv levelist=500,param=t,step=0",
+        "array_open main 0000000100000001.0000000000000000",
+        "array_read main 0000000100000001.0000000000000000 @0+1",
+        "array_close main 0000000100000001.0000000000000000",
+        "kv_get main fkv levelist=500,param=t,step=24",
+        "array_open main 0000000100000001.0000000000000001",
+        "array_read main 0000000100000001.0000000000000001 @0+1",
+        "array_close main 0000000100000001.0000000000000001",
+        "cont_open_or_create main",
+        "kv_get main main-kv class=od,date=20201224,expver=0001,time=0000",
+        "array_create main 0000000100000003.0000000000000000",
+        "array_write main 0000000100000003.0000000000000000 @0 63",
+        "array_close main 0000000100000003.0000000000000000",
+        "kv_put main fkv levelist=500,param=t,step=48 25a4970c5bf8d43ca00f04960edc83c9010000000300000000000000000000000000000001",
+        "array_create main 0000000100000003.0000000000000001",
+        "array_write main 0000000100000003.0000000000000001 @0 64",
+        "array_close main 0000000100000003.0000000000000001",
+        "kv_put main fkv levelist=500,param=t,step=72 25a4970c5bf8d43ca00f04960edc83c9010000000300000000000000010000000000000001",
+        "cont_open_or_create main",
+        "kv_get main main-kv class=od,date=20201224,expver=0001,time=0000",
+        "kv_get main fkv levelist=500,param=t,step=48",
+        "array_open main 0000000100000003.0000000000000000",
+        "array_read main 0000000100000003.0000000000000000 @0+1",
+        "array_close main 0000000100000003.0000000000000000",
+        "kv_get main fkv levelist=500,param=t,step=72",
+        "array_open main 0000000100000003.0000000000000001",
+        "array_read main 0000000100000003.0000000000000001 @0+1",
+        "array_close main 0000000100000003.0000000000000001",
+    ];
+
+    /// `recorded_calls(FieldIoMode::NoIndex)`.
+    const NO_INDEX_CALLS: &[&str] = &[
+        "cont_open_or_create main",
+        "array_open_or_create main 00000001e1e6cced.358020136b9235fa",
+        "array_write main 00000001e1e6cced.358020136b9235fa @0 61",
+        "array_close main 00000001e1e6cced.358020136b9235fa",
+        "array_open_or_create main 00000001a63f5147.8aa35dcb5931dda2",
+        "array_write main 00000001a63f5147.8aa35dcb5931dda2 @0 62",
+        "array_close main 00000001a63f5147.8aa35dcb5931dda2",
+        "cont_open_or_create main",
+        "array_open main 00000001e1e6cced.358020136b9235fa",
+        "array_size main 00000001e1e6cced.358020136b9235fa",
+        "array_read main 00000001e1e6cced.358020136b9235fa @0+1",
+        "array_close main 00000001e1e6cced.358020136b9235fa",
+        "array_open main 00000001a63f5147.8aa35dcb5931dda2",
+        "array_size main 00000001a63f5147.8aa35dcb5931dda2",
+        "array_read main 00000001a63f5147.8aa35dcb5931dda2 @0+1",
+        "array_close main 00000001a63f5147.8aa35dcb5931dda2",
+        "cont_open_or_create main",
+        "array_open_or_create main 000000011f22e497.9501875d5eb494a0",
+        "array_write main 000000011f22e497.9501875d5eb494a0 @0 63",
+        "array_close main 000000011f22e497.9501875d5eb494a0",
+        "array_open_or_create main 000000015483db84.44b3f6bcae06b394",
+        "array_write main 000000015483db84.44b3f6bcae06b394 @0 64",
+        "array_close main 000000015483db84.44b3f6bcae06b394",
+        "cont_open_or_create main",
+        "array_open main 000000011f22e497.9501875d5eb494a0",
+        "array_size main 000000011f22e497.9501875d5eb494a0",
+        "array_read main 000000011f22e497.9501875d5eb494a0 @0+1",
+        "array_close main 000000011f22e497.9501875d5eb494a0",
+        "array_open main 000000015483db84.44b3f6bcae06b394",
+        "array_size main 000000015483db84.44b3f6bcae06b394",
+        "array_read main 000000015483db84.44b3f6bcae06b394 @0+1",
+        "array_close main 000000015483db84.44b3f6bcae06b394",
+    ];
+
+    #[test]
+    fn daos_call_sequence_is_pinned_in_every_mode() {
+        for (mode, expected) in [
+            (FieldIoMode::Full, FULL_CALLS),
+            (FieldIoMode::NoContainers, NO_CONTAINERS_CALLS),
+            (FieldIoMode::NoIndex, NO_INDEX_CALLS),
+        ] {
+            let got = recorded_calls(mode);
+            let got: Vec<&str> = got.lines().collect();
+            assert_eq!(got, expected, "mode {mode}");
         }
     }
 }

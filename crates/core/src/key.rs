@@ -59,16 +59,7 @@ impl KeyPart {
     /// Canonical text form `k1=v1,k2=v2` in key order — the byte string
     /// hashed for container UUIDs and used as the Key-Value key.
     pub fn canonical(&self) -> String {
-        let mut s = String::new();
-        for (i, (k, v)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(k);
-            s.push('=');
-            s.push_str(v);
-        }
-        s
+        canonical_of(&self.entries)
     }
 
     pub fn get(&self, name: &str) -> Option<&str> {
@@ -134,6 +125,19 @@ impl FieldKey {
         (msk, lsk)
     }
 
+    /// The canonical strings of both halves of [`FieldKey::split`]:
+    /// equal to `(msk.canonical(), lsk.canonical())`, but built in one
+    /// pass over the entries without cloning them into two [`KeyPart`]s.
+    pub fn split_canonical(&self, schema: &KeySchema) -> (String, String) {
+        let mut msk = String::new();
+        let mut lsk = String::new();
+        for (k, v) in &self.entries {
+            let half = if schema.is_msk(k) { &mut msk } else { &mut lsk };
+            push_pair(half, k, v);
+        }
+        (msk, lsk)
+    }
+
     /// Parses the canonical text form `k1=v1,k2=v2`.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut key = FieldKey::new();
@@ -158,17 +162,27 @@ impl FieldKey {
 
     /// Canonical text of the full key.
     pub fn canonical(&self) -> String {
-        let mut s = String::new();
-        for (i, (k, v)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(k);
-            s.push('=');
-            s.push_str(v);
-        }
-        s
+        canonical_of(&self.entries)
     }
+}
+
+/// Appends `k=v` to a canonical string, after a `,` unless it is still
+/// empty (every pair adds at least the `=`, so "empty" means "first").
+fn push_pair(out: &mut String, k: &str, v: &str) {
+    if !out.is_empty() {
+        out.push(',');
+    }
+    out.push_str(k);
+    out.push('=');
+    out.push_str(v);
+}
+
+fn canonical_of(entries: &BTreeMap<String, String>) -> String {
+    let mut s = String::new();
+    for (k, v) in entries {
+        push_pair(&mut s, k, v);
+    }
+    s
 }
 
 impl fmt::Display for FieldKey {
@@ -229,6 +243,10 @@ mod tests {
         assert_eq!(lsk.canonical(), "levelist=500,param=t,step=24");
         assert_eq!(msk.get("class"), Some("od"));
         assert_eq!(lsk.get("class"), None);
+        assert_eq!(
+            sample().split_canonical(&KeySchema::ecmwf()),
+            (msk.canonical(), lsk.canonical())
+        );
     }
 
     #[test]

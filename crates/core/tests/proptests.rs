@@ -73,6 +73,30 @@ proptest! {
     }
 
     #[test]
+    fn split_canonical_equals_split(
+        pairs in proptest::collection::vec((name_str(), value_str()), 1..10),
+        picks in proptest::collection::vec(any::<bool>(), 10),
+        extra_names in proptest::collection::vec(name_str(), 0..3),
+    ) {
+        // The schema names a random subset of the key's own names (none
+        // or all of them give an empty half) plus names that may match
+        // no key at all.
+        let key = FieldKey::from_pairs(pairs.clone());
+        let msk_names = pairs
+            .iter()
+            .zip(&picks)
+            .filter(|(_, &pick)| pick)
+            .map(|((k, _), _)| k.clone())
+            .chain(extra_names);
+        let schema = KeySchema::new(msk_names);
+        let (msk, lsk) = key.split(&schema);
+        prop_assert_eq!(
+            key.split_canonical(&schema),
+            (msk.canonical(), lsk.canonical())
+        );
+    }
+
+    #[test]
     fn index_entry_roundtrips(
         name in proptest::collection::vec(any::<u8>(), 0..40),
         hi in any::<u32>(), lo in any::<u64>(),

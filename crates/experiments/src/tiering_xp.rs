@@ -93,15 +93,22 @@ impl TieringRow {
 /// tail of the workload, where most writes are actually serviced (and
 /// most SCM fills happen), and still leave the simulation
 /// quiescent-terminating. Aggregation-on rows therefore report
-/// `end_secs` = the horizon when it exceeds the workload's own end.
+/// `end_secs` = the horizon when it exceeds the workload's own end; a
+/// horizon past simulated time is a [`CycleConfigError::TimeOverflow`].
 pub fn tiering_grid(
     base: &CycleConfig,
     scm_per_socket: u64,
     scm_threshold: u64,
     aggregation_seed: u64,
 ) -> Result<Vec<TieringRow>, CycleConfigError> {
-    let horizon =
-        SimDuration::from_nanos(base.step_interval.as_nanos() * (base.steps as u64 + 1) * 4);
+    let horizon = base
+        .step_interval
+        .as_nanos()
+        .checked_mul((base.steps as u64 + 1) * 4)
+        .map(SimDuration::from_nanos)
+        .ok_or(CycleConfigError::TimeOverflow(
+            "the aggregation horizon 4 × (steps + 1) × step_interval",
+        ))?;
     let points = vec![(false, false), (false, true), (true, false), (true, true)];
     parallel_map(points, |&(tiered, aggregation)| {
         let cfg = CycleConfig {

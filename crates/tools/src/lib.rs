@@ -28,6 +28,7 @@ use daosim_experiments::ior_interfaces_xp::{interface_grid, InterfaceRow};
 use daosim_experiments::nwp_cycle_xp::{cycle_grid, CycleRow};
 use daosim_experiments::sched_fuzz_xp::{fuzz_seeds, policy_family};
 use daosim_experiments::tiering_xp::{tiering_grid, TieringRow};
+use daosim_kernel::time::NS_PER_MS;
 use daosim_kernel::{AdmissionPolicy, Sim, SimDuration};
 use daosim_objstore::api::EmbeddedClient;
 use daosim_objstore::{load_pool, save_pool, Pool, Uuid};
@@ -157,6 +158,19 @@ fn bytes_of(flag: &str, value: u64, unit: u64) -> Result<u64, ToolError> {
     value
         .checked_mul(unit)
         .ok_or_else(|| ToolError::BadArgs(format!("{flag} {value} overflows a 64-bit byte count")))
+}
+
+/// `--interval-ms` as simulated time; a millisecond count that
+/// overflows `u64` nanoseconds is a [`ToolError::BadArgs`] naming the
+/// flag.
+fn interval_of(ms: u64) -> Result<SimDuration, ToolError> {
+    ms.checked_mul(NS_PER_MS)
+        .map(SimDuration::from_nanos)
+        .ok_or_else(|| {
+            ToolError::BadArgs(format!(
+                "--interval-ms {ms} overflows 64-bit simulated nanoseconds"
+            ))
+        })
 }
 
 fn load(path: &Path) -> Result<Arc<Pool>, ToolError> {
@@ -307,19 +321,14 @@ pub fn cmd_synth_trace(
         ));
     }
     let field_bytes = bytes_of("--mib", field_mib, MIB)?;
+    let interval = interval_of(interval_ms)?;
     // The trace's total write volume must fit a byte count as well.
     let writes = procs as u64 * steps as u64;
     writes
         .checked_mul(fields_per_step as u64)
         .and_then(|n| n.checked_mul(field_bytes))
         .ok_or_else(|| bad_args(format!("--mib {field_mib}: trace volume overflows")))?;
-    let trace = Trace::synthesize_operational(
-        procs,
-        steps,
-        fields_per_step,
-        field_bytes,
-        SimDuration::from_millis(interval_ms),
-    );
+    let trace = Trace::synthesize_operational(procs, steps, fields_per_step, field_bytes, interval);
     fs::write(path, trace.to_csv())?;
     Ok(Outcome::TraceWritten {
         path: path.display().to_string(),
@@ -494,9 +503,10 @@ pub fn cmd_fuzz(seeds: u64, start: u64, policy: &str) -> ToolResult {
     })
 }
 
-/// The cycle shape shared by `nwp-cycle` and `tiering`; a zero comes
-/// back as the builder's typed error, an overflowing `--kib` as an error
-/// naming the flag.
+/// The cycle shape shared by `nwp-cycle` and `tiering`; a zero or a
+/// cycle longer than simulated time comes back as the builder's typed
+/// error, an overflowing `--kib` or `--interval-ms` as an error naming
+/// the flag.
 fn cycle_base(
     writers: u32,
     readers: u32,
@@ -512,7 +522,7 @@ fn cycle_base(
         .steps(steps)
         .fields_per_step(fields)
         .field_bytes(bytes_of("--kib", kib, KIB)?)
-        .step_interval(SimDuration::from_millis(interval_ms))
+        .step_interval(interval_of(interval_ms)?)
         .seed(seed)
         .build()
         .map_err(bad_args)
@@ -1147,6 +1157,73 @@ mod tests {
         assert_names_flag(
             cmd_nwp_cycle(2, 4, 2, 2, KIB_OVERFLOW, 40, "both", "fifo", 7, false),
             "--kib",
+        );
+    }
+
+    /// `u64::MAX / 10^6 + 1` ms is one past the nanosecond range.
+    const INTERVAL_MS_OVERFLOW: u64 = u64::MAX / 1_000_000 + 1;
+
+    #[test]
+    fn nwp_cycle_interval_overflow_is_an_error_not_a_panic() {
+        assert_names_flag(
+            cmd_nwp_cycle(
+                2,
+                4,
+                2,
+                2,
+                64,
+                18446744073709551,
+                "shared",
+                "fifo",
+                7,
+                false,
+            ),
+            "--interval-ms",
+        );
+        assert_names_flag(
+            cmd_nwp_cycle(
+                2,
+                4,
+                2,
+                2,
+                64,
+                INTERVAL_MS_OVERFLOW,
+                "both",
+                "fifo",
+                7,
+                false,
+            ),
+            "--interval-ms",
+        );
+        // The interval fits, but 3 intervals of the 2-step cycle do not.
+        let interval_ms = u64::MAX / 1_000_000 / 2;
+        assert_names_flag(
+            cmd_nwp_cycle(2, 4, 2, 2, 64, interval_ms, "shared", "fifo", 7, false),
+            "step_interval",
+        );
+    }
+
+    #[test]
+    fn tiering_interval_overflow_is_an_error_not_a_hang() {
+        assert_names_flag(
+            cmd_tiering(2, 4, 2, 3, 512, 18446744073709551, 12, 1024, 7),
+            "--interval-ms",
+        );
+        // The 2-step cycle's 3 intervals fit; the aggregation horizon of
+        // 4 × 3 intervals does not.
+        let interval_ms = u64::MAX / 1_000_000 / 4;
+        assert_names_flag(
+            cmd_tiering(2, 4, 2, 3, 512, interval_ms, 12, 1024, 7),
+            "aggregation horizon",
+        );
+    }
+
+    #[test]
+    fn synth_trace_interval_overflow_names_the_flag() {
+        let a = TempArchive::new("trace-interval");
+        assert_names_flag(
+            cmd_synth_trace(&a.0, 4, 2, 3, 1, INTERVAL_MS_OVERFLOW),
+            "--interval-ms",
         );
     }
 
