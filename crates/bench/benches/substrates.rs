@@ -2,8 +2,8 @@
 //! second in the kernel, fairness recomputation in the flow network.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use daosim_kernel::sync::{Barrier, Semaphore};
-use daosim_kernel::{Sim, SimDuration};
+use daosim_kernel::sync::{Barrier, PrioritySemaphore};
+use daosim_kernel::{AdmissionClass, Sim, SimDuration};
 use daosim_net::{FlowCap, FlowNet};
 
 fn bench_kernel(c: &mut Criterion) {
@@ -33,12 +33,12 @@ fn bench_kernel(c: &mut Criterion) {
     g.bench_function("semaphore_contention_100x10", |b| {
         b.iter(|| {
             let sim = Sim::new();
-            let sem = Semaphore::new(4);
+            let sem = PrioritySemaphore::fifo(4);
             for _ in 0..100 {
                 let (s, m) = (sim.clone(), sem.clone());
                 sim.spawn(async move {
                     for _ in 0..10 {
-                        let _p = m.acquire_one().await;
+                        let _p = m.acquire_one(AdmissionClass::Normal).await;
                         s.sleep(SimDuration::from_nanos(3)).await;
                     }
                 });

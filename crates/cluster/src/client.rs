@@ -17,6 +17,8 @@
 //! modelled completion point, so reads return real bytes and correctness
 //! is testable end-to-end under the timing model.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -347,17 +349,32 @@ impl SimClient {
     /// Metadata target for `oid`: the leader, failing over across the
     /// redundancy group (replicas, or EC data+parity cells).
     fn meta_target(&self, oid: Oid) -> Result<u32> {
-        let mut candidates = if oid.class() == ObjectClass::EC2P1 {
+        let candidates = if oid.class() == ObjectClass::EC2P1 {
             let (mut dts, pt) = ec_targets(oid, self.pool_targets());
             dts.push(pt);
-            dts
+            dts.into_iter().map(|t| self.live_target(t)).collect()
         } else {
-            replica_targets(oid, self.pool_targets())
+            self.live_replicas(oid)
         };
-        for t in &mut candidates {
-            *t = self.live_target(*t);
-        }
         self.first_alive(&candidates)
+    }
+
+    /// `oid`'s replica targets, through the pool map.
+    fn live_replicas(&self, oid: Oid) -> Vec<u32> {
+        replica_targets(oid, self.pool_targets())
+            .into_iter()
+            .map(|t| self.live_target(t))
+            .collect()
+    }
+
+    fn is_replicated(&self, oid: Oid) -> bool {
+        oid.class().replicas(self.pool_targets()) > 1
+    }
+
+    /// Whether `oid` is erasure-coded in this pool (EC2P1 with room for
+    /// its parity cell).
+    fn is_ec(&self, oid: Oid) -> bool {
+        oid.class() == ObjectClass::EC2P1 && oid.class().parity_cells(self.pool_targets()) > 0
     }
 
     /// Engine-serial dispatch work per bulk shard RPC.
@@ -370,7 +387,7 @@ impl SimClient {
     }
 
     /// Bulk write of one shard: the wire flow and the media reservation
-    /// run concurrently (streamed I/O pipelines them in reality).
+    /// run concurrently.
     async fn shard_write(&self, t: u32, bytes: u64) -> Result<()> {
         let engine = self.engine_for(t)?;
         self.shard_dispatch(engine).await;
@@ -387,16 +404,9 @@ impl SimClient {
             .media
             .charge_write(bytes)
             .map_err(|_| DaosError::NoSpace)?;
-        let media = cal.rpc_cpu_cost + charge.time;
         self.d.target(t).tally.note_write(bytes);
-        let service = self.target_service(t, media);
-        let mut both = join_all(vec![
-            Box::pin(async move {
-                flow.await;
-            }) as std::pin::Pin<Box<dyn std::future::Future<Output = ()>>>,
-            Box::pin(service),
-        ]);
-        (&mut both).await;
+        self.flow_with_service(flow, t, cal.rpc_cpu_cost + charge.time)
+            .await;
         Ok(())
     }
 
@@ -410,15 +420,20 @@ impl SimClient {
         let flow = self.d.fabric.net().transfer(&route, bytes, cap);
         let media = cal.rpc_cpu_cost + self.d.target(t).media.read_time(bytes);
         self.d.target(t).tally.note_read(bytes);
-        let service = self.target_service(t, media);
-        let mut both = join_all(vec![
+        self.flow_with_service(flow, t, media).await;
+        Ok(())
+    }
+
+    /// Runs a shard's wire flow and its target service concurrently
+    /// (streamed I/O pipelines them in reality).
+    async fn flow_with_service(&self, flow: impl Future, t: u32, service: SimDuration) {
+        join_all(vec![
             Box::pin(async move {
                 flow.await;
-            }) as std::pin::Pin<Box<dyn std::future::Future<Output = ()>>>,
-            Box::pin(service),
-        ]);
-        (&mut both).await;
-        Ok(())
+            }) as Pin<Box<dyn Future<Output = ()> + '_>>,
+            Box::pin(self.target_service(t, service)),
+        ])
+        .await;
     }
 
     /// Runs `attempt` under the deployment's [`RetryPolicy`]: each
@@ -433,7 +448,7 @@ impl SimClient {
     /// (dropped) attempt leaves no partial state.
     async fn retrying<T, Fut>(&self, op: ClientOp, mut attempt: impl FnMut() -> Fut) -> Result<T>
     where
-        Fut: std::future::Future<Output = Result<T>>,
+        Fut: Future<Output = Result<T>>,
     {
         let sim = self.d.sim.clone();
         let op_span = sim.span("client", op.name());
@@ -535,69 +550,108 @@ impl SimClient {
         Ok(SimCont { uuid, cont })
     }
 
-    async fn kv_put_once(&self, cont: &SimCont, oid: Oid, key: &[u8], value: Bytes) -> Result<()> {
-        let cal = self.d.spec.calibration;
-        // Updates land on every replica of the key's home target;
-        // unreplicated classes have exactly one.
-        let targets: Vec<u32> = if oid.class().replicas(self.pool_targets()) > 1 {
-            replica_targets(oid, self.pool_targets())
+    /// The `(target, bytes)` writes of a `bytes`-sized update of `key`,
+    /// through the pool map: one per replica of a replicated object, else
+    /// one at the key's home target.
+    fn kv_writes(&self, oid: Oid, key: &[u8], bytes: u64) -> Vec<(u32, u64)> {
+        let targets = if self.is_replicated(oid) {
+            self.live_replicas(oid)
         } else {
-            vec![kv_target(oid, key, self.pool_targets())]
+            vec![self.live_target(kv_target(oid, key, self.pool_targets()))]
         };
-        let targets: Vec<u32> = targets.into_iter().map(|t| self.live_target(t)).collect();
-        for &t in &targets {
+        targets.into_iter().map(|t| (t, bytes)).collect()
+    }
+
+    /// The leader section every KV update shares. Each `(target, bytes)`
+    /// write's engine must be up; the first write's target leads. One
+    /// request round trip brackets the leader's container-handle work and
+    /// the object's update lock — the serialization point of conflicting
+    /// updates — held for the leader's serial cost plus `body`, which
+    /// does the op's replica fan-out and commit.
+    async fn kv_update<T, Fut>(
+        &self,
+        cont: &SimCont,
+        oid: Oid,
+        writes: &[(u32, u64)],
+        body: impl FnOnce(u32) -> Fut,
+    ) -> Result<T>
+    where
+        Fut: Future<Output = Result<T>>,
+    {
+        for &(t, _) in writes {
             self.engine_for(t)?;
         }
         // Placement can legitimately come back empty mid-fault-campaign
         // (a just-killed pool can remap every candidate away); error like
         // `first_alive` does instead of indexing into nothing.
-        let Some(&primary) = targets.first() else {
+        let Some(&(leader, _)) = writes.first() else {
             return Err(DaosError::NoTargets);
         };
-        let engine = self.engine_for(primary)?;
+        let engine = self.engine_for(leader)?;
         self.latency().await;
         self.engine_meta(engine).await;
-        // Conflicting updates to one object serialize on its update lock
-        // for the leader-serialization cost plus the target service.
         let lock = self.d.obj_lock(cont.uuid, oid, 0);
-        {
+        let out = {
             let _g = lock.acquire_one(self.lane()).await;
             let _os = self.d.sim.span("objstore", "kv_update");
-            self.d.sim.sleep(cal.kv_update_serial_cost).await;
-            let bytes = (key.len() + value.len()) as u64;
-            let updates: Vec<_> = targets
-                .iter()
-                .map(|&t| {
-                    let this = self.clone();
-                    async move {
-                        let charge = this
-                            .d
-                            .target(t)
-                            .media
-                            .charge_write(bytes)
-                            .map_err(|_| DaosError::NoSpace)?;
-                        let service = cal.kv_op_cost + charge.time;
-                        this.d.target(t).tally.note_write(bytes);
-                        this.target_service(t, service).await;
-                        Ok::<(), DaosError>(())
-                    }
-                })
-                .collect();
-            for r in join_all(updates).await {
-                r?;
-            }
-            self.d.pool.charge(bytes)?;
-            cont.cont.kv_put(oid, key, value)?;
-        }
+            self.d
+                .sim
+                .sleep(self.d.spec.calibration.kv_update_serial_cost)
+                .await;
+            body(leader).await?
+        };
         self.latency().await;
+        Ok(out)
+    }
+
+    /// The replica fan-out of a KV update: every `(target, bytes)` write
+    /// charges its media tier and occupies its target for the KV op cost
+    /// plus the media time, all concurrently.
+    async fn kv_fan_out(&self, writes: &[(u32, u64)]) -> Result<()> {
+        let cal = &self.d.spec.calibration;
+        let updates: Vec<_> = writes
+            .iter()
+            .map(|&(t, bytes)| async move {
+                let charge = self
+                    .d
+                    .target(t)
+                    .media
+                    .charge_write(bytes)
+                    .map_err(|_| DaosError::NoSpace)?;
+                self.d.target(t).tally.note_write(bytes);
+                self.target_service(t, cal.kv_op_cost + charge.time).await;
+                Ok::<(), DaosError>(())
+            })
+            .collect();
+        for r in join_all(updates).await {
+            r?;
+        }
         Ok(())
     }
 
-    /// Conditional KV insert: same placement, round trip and leader
-    /// serial section as `kv_put_once`, but the presence check happens
-    /// *inside* the serial section, so racing inserts on one key resolve
-    /// to exactly one winner. A losing insert pays the round trip and a
-    /// leader read, not the replica writes.
+    /// One KV entry read at target `t`.
+    async fn kv_entry_read(&self, t: u32) {
+        let cal = &self.d.spec.calibration;
+        let service = cal.kv_op_cost + self.d.target(t).media.read_time(cal.kv_entry_bytes);
+        self.d.target(t).tally.note_read(cal.kv_entry_bytes);
+        self.target_service(t, service).await;
+    }
+
+    async fn kv_put_once(&self, cont: &SimCont, oid: Oid, key: &[u8], value: Bytes) -> Result<()> {
+        let bytes = (key.len() + value.len()) as u64;
+        let writes = self.kv_writes(oid, key, bytes);
+        self.kv_update(cont, oid, &writes, |_| async {
+            self.kv_fan_out(&writes).await?;
+            self.d.pool.charge(bytes)?;
+            cont.cont.kv_put(oid, key, value).map(drop)
+        })
+        .await
+    }
+
+    /// Conditional KV insert: the presence check happens *inside* the
+    /// leader section, so racing inserts on one key resolve to exactly
+    /// one winner. A losing insert pays the round trip and a leader read,
+    /// not the replica writes.
     async fn kv_put_if_absent_once(
         &self,
         cont: &SimCont,
@@ -605,125 +659,39 @@ impl SimClient {
         key: &[u8],
         value: Bytes,
     ) -> Result<Option<Bytes>> {
-        let cal = self.d.spec.calibration;
-        let targets: Vec<u32> = if oid.class().replicas(self.pool_targets()) > 1 {
-            replica_targets(oid, self.pool_targets())
-        } else {
-            vec![kv_target(oid, key, self.pool_targets())]
-        };
-        let targets: Vec<u32> = targets.into_iter().map(|t| self.live_target(t)).collect();
-        for &t in &targets {
-            self.engine_for(t)?;
-        }
-        let Some(&primary) = targets.first() else {
-            return Err(DaosError::NoTargets);
-        };
-        let engine = self.engine_for(primary)?;
-        self.latency().await;
-        self.engine_meta(engine).await;
-        let lock = self.d.obj_lock(cont.uuid, oid, 0);
-        let out;
-        {
-            let _g = lock.acquire_one(self.lane()).await;
-            let _os = self.d.sim.span("objstore", "kv_update");
-            self.d.sim.sleep(cal.kv_update_serial_cost).await;
+        let bytes = (key.len() + value.len()) as u64;
+        let writes = &self.kv_writes(oid, key, bytes);
+        self.kv_update(cont, oid, writes, |leader| async move {
             if let Some(existing) = cont.cont.kv_get(oid, key)? {
-                let service =
-                    cal.kv_op_cost + self.d.target(primary).media.read_time(cal.kv_entry_bytes);
-                self.d.target(primary).tally.note_read(cal.kv_entry_bytes);
-                self.target_service(primary, service).await;
-                out = Some(existing);
-            } else {
-                let bytes = (key.len() + value.len()) as u64;
-                let updates: Vec<_> = targets
-                    .iter()
-                    .map(|&t| {
-                        let this = self.clone();
-                        async move {
-                            let charge = this
-                                .d
-                                .target(t)
-                                .media
-                                .charge_write(bytes)
-                                .map_err(|_| DaosError::NoSpace)?;
-                            let service = cal.kv_op_cost + charge.time;
-                            this.d.target(t).tally.note_write(bytes);
-                            this.target_service(t, service).await;
-                            Ok::<(), DaosError>(())
-                        }
-                    })
-                    .collect();
-                for r in join_all(updates).await {
-                    r?;
-                }
-                self.d.pool.charge(bytes)?;
-                cont.cont.kv_put(oid, key, value)?;
-                out = None;
+                self.kv_entry_read(leader).await;
+                return Ok(Some(existing));
             }
-        }
-        self.latency().await;
-        Ok(out)
+            self.kv_fan_out(writes).await?;
+            self.d.pool.charge(bytes)?;
+            cont.cont.kv_put(oid, key, value)?;
+            Ok(None)
+        })
+        .await
     }
 
-    /// KV key removal: the update path of `kv_put_once` (every replica of
-    /// the key's home target services the tombstone write). Removing an
-    /// absent key is a successful no-op, per the `DaosApi` contract.
+    /// KV key removal: every replica of the key's home target services
+    /// the tombstone write. Removing an absent key is a successful no-op,
+    /// per the `DaosApi` contract.
     async fn kv_remove_once(&self, cont: &SimCont, oid: Oid, key: &[u8]) -> Result<()> {
-        let cal = self.d.spec.calibration;
-        let targets: Vec<u32> = if oid.class().replicas(self.pool_targets()) > 1 {
-            replica_targets(oid, self.pool_targets())
-        } else {
-            vec![kv_target(oid, key, self.pool_targets())]
-        };
-        let targets: Vec<u32> = targets.into_iter().map(|t| self.live_target(t)).collect();
-        for &t in &targets {
-            self.engine_for(t)?;
-        }
-        let Some(&primary) = targets.first() else {
-            return Err(DaosError::NoTargets);
-        };
-        let engine = self.engine_for(primary)?;
-        self.latency().await;
-        self.engine_meta(engine).await;
-        let lock = self.d.obj_lock(cont.uuid, oid, 0);
-        {
-            let _g = lock.acquire_one(self.lane()).await;
-            let _os = self.d.sim.span("objstore", "kv_update");
-            self.d.sim.sleep(cal.kv_update_serial_cost).await;
-            let bytes = key.len() as u64;
-            let updates: Vec<_> = targets
-                .iter()
-                .map(|&t| {
-                    let this = self.clone();
-                    async move {
-                        let charge = this
-                            .d
-                            .target(t)
-                            .media
-                            .charge_write(bytes)
-                            .map_err(|_| DaosError::NoSpace)?;
-                        let service = cal.kv_op_cost + charge.time;
-                        this.d.target(t).tally.note_write(bytes);
-                        this.target_service(t, service).await;
-                        Ok::<(), DaosError>(())
-                    }
-                })
-                .collect();
-            for r in join_all(updates).await {
-                r?;
-            }
+        let writes = self.kv_writes(oid, key, key.len() as u64);
+        self.kv_update(cont, oid, &writes, |_| async {
+            self.kv_fan_out(&writes).await?;
             match cont.cont.kv_remove(oid, key) {
-                Ok(_) | Err(DaosError::ObjNotFound(_)) => {}
-                Err(e) => return Err(e),
+                Ok(_) | Err(DaosError::ObjNotFound(_)) => Ok(()),
+                Err(e) => Err(e),
             }
-        }
-        self.latency().await;
-        Ok(())
+        })
+        .await
     }
 
     /// Vectorized KV update: the whole batch rides one request — one
     /// latency round trip, one container-handle validation and one
-    /// leader serial section — then every pair's replica services run
+    /// leader section — then every pair's replica services run
     /// concurrently. This is where batching beats N sequential puts.
     async fn kv_put_multi_once(
         &self,
@@ -734,80 +702,24 @@ impl SimClient {
         if pairs.is_empty() {
             return Ok(());
         }
-        let cal = self.d.spec.calibration;
-        let replicated = oid.class().replicas(self.pool_targets()) > 1;
         // Per-pair destinations, exactly as each pair's own kv_put would
         // place it.
-        let dests: Vec<(Vec<u32>, u64)> = pairs
+        let writes: Vec<_> = pairs
             .iter()
-            .map(|(key, value)| {
-                let targets: Vec<u32> = if replicated {
-                    replica_targets(oid, self.pool_targets())
-                } else {
-                    vec![kv_target(oid, key, self.pool_targets())]
-                };
-                let targets: Vec<u32> = targets.into_iter().map(|t| self.live_target(t)).collect();
-                (targets, (key.len() + value.len()) as u64)
-            })
+            .flat_map(|(key, value)| self.kv_writes(oid, key, (key.len() + value.len()) as u64))
             .collect();
-        for (targets, _) in &dests {
-            for &t in targets {
-                self.engine_for(t)?;
-            }
-        }
-        // `pairs` is non-empty here, but a pair's target list can still be
-        // empty under a hostile pool map — fail like `first_alive`, don't
-        // index.
-        let primary = dests
-            .first()
-            .and_then(|(targets, _)| targets.first().copied())
-            .ok_or(DaosError::NoTargets)?;
-        let engine = self.engine_for(primary)?;
-        self.latency().await;
-        self.engine_meta(engine).await;
-        let lock = self.d.obj_lock(cont.uuid, oid, 0);
-        {
-            let _g = lock.acquire_one(self.lane()).await;
-            let _os = self.d.sim.span("objstore", "kv_update");
-            self.d.sim.sleep(cal.kv_update_serial_cost).await;
-            let updates: Vec<_> = dests
-                .iter()
-                .flat_map(|(targets, bytes)| targets.iter().map(move |&t| (t, *bytes)))
-                .map(|(t, bytes)| {
-                    let this = self.clone();
-                    async move {
-                        let charge = this
-                            .d
-                            .target(t)
-                            .media
-                            .charge_write(bytes)
-                            .map_err(|_| DaosError::NoSpace)?;
-                        let service = cal.kv_op_cost + charge.time;
-                        this.d.target(t).tally.note_write(bytes);
-                        this.target_service(t, service).await;
-                        Ok::<(), DaosError>(())
-                    }
-                })
-                .collect();
-            for r in join_all(updates).await {
-                r?;
-            }
-            let total: u64 = dests.iter().map(|(_, b)| *b).sum();
+        let total: u64 = pairs.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum();
+        self.kv_update(cont, oid, &writes, |_| async {
+            self.kv_fan_out(&writes).await?;
             self.d.pool.charge(total)?;
-            cont.cont.kv_put_multi(oid, pairs)?;
-        }
-        self.latency().await;
-        Ok(())
+            cont.cont.kv_put_multi(oid, pairs)
+        })
+        .await
     }
 
     async fn kv_get_once(&self, cont: &SimCont, oid: Oid, key: &[u8]) -> Result<Option<Bytes>> {
-        let cal = self.d.spec.calibration;
-        let t = if oid.class().replicas(self.pool_targets()) > 1 {
-            let reps: Vec<u32> = replica_targets(oid, self.pool_targets())
-                .into_iter()
-                .map(|t| self.live_target(t))
-                .collect();
-            self.first_alive(&reps)?
+        let t = if self.is_replicated(oid) {
+            self.first_alive(&self.live_replicas(oid))?
         } else {
             self.live_target(kv_target(oid, key, self.pool_targets()))
         };
@@ -819,10 +731,11 @@ impl SimClient {
         {
             let _g = lock.acquire_one(self.lane()).await;
             let _os = self.d.sim.span("objstore", "kv_fetch");
-            self.d.sim.sleep(cal.kv_fetch_serial_cost).await;
-            let service = cal.kv_op_cost + self.d.target(t).media.read_time(cal.kv_entry_bytes);
-            self.d.target(t).tally.note_read(cal.kv_entry_bytes);
-            self.target_service(t, service).await;
+            self.d
+                .sim
+                .sleep(self.d.spec.calibration.kv_fetch_serial_cost)
+                .await;
+            self.kv_entry_read(t).await;
             out = cont.cont.kv_get(oid, key)?;
         }
         self.latency().await;
@@ -854,27 +767,21 @@ impl SimClient {
     async fn array_create_once(&self, cont: &SimCont, oid: Oid) -> Result<()> {
         let cal = self.d.spec.calibration;
         // Creation installs metadata on every replica, concurrently.
-        let reps: Vec<u32> = replica_targets(oid, self.pool_targets())
-            .into_iter()
-            .map(|t| self.live_target(t))
-            .collect();
+        let reps = self.live_replicas(oid);
         for &t in &reps {
             self.engine_for(t)?;
         }
         let creates: Vec<_> = reps
             .iter()
-            .map(|&t| {
-                let this = self.clone();
-                async move {
-                    let charge = this
-                        .d
-                        .target(t)
-                        .media
-                        .charge_write(128)
-                        .map_err(|_| DaosError::NoSpace)?;
-                    let service = cal.array_create_cost + charge.time;
-                    this.small_rpc(t, service).await
-                }
+            .map(|&t| async move {
+                let charge = self
+                    .d
+                    .target(t)
+                    .media
+                    .charge_write(128)
+                    .map_err(|_| DaosError::NoSpace)?;
+                let service = cal.array_create_cost + charge.time;
+                self.small_rpc(t, service).await
             })
             .collect();
         for r in join_all(creates).await {
@@ -906,27 +813,37 @@ impl SimClient {
         cont.cont.array_open_or_create(oid)
     }
 
-    async fn array_write_once(
+    /// The one array-update body, behind both `array_write` (a single
+    /// extent) and `array_write_vec`. Replicated classes write every
+    /// replica synchronously; erasure-coded objects write two data cells
+    /// plus the XOR parity cell, and only as one whole-object extent;
+    /// striped classes write one shard per stripe target. All extents
+    /// ride one request: the attempt fails fast if any owning engine is
+    /// down (writes need the full redundancy group; retry, backoff and
+    /// pool-map re-consultation live in the `retrying` wrapper), then
+    /// takes the extents' chunk locks and runs every shard concurrently.
+    async fn array_write_vec_once(
         &self,
         cont: &SimCont,
         oid: Oid,
-        offset: u64,
-        data: Bytes,
+        iovs: Vec<(u64, Bytes)>,
     ) -> Result<()> {
-        let len = data.len() as u64;
-        // Replicated classes write every replica synchronously; erasure-
-        // coded objects write two data cells plus the XOR parity cell;
-        // striped classes write one shard per stripe target.
-        let is_ec =
-            oid.class() == ObjectClass::EC2P1 && oid.class().parity_cells(self.pool_targets()) > 0;
+        if iovs.is_empty() {
+            return Ok(());
+        }
         let mut ec_parity: Option<Bytes> = None;
-        let shards: Vec<(u32, u64)> = if is_ec {
-            if offset != 0 {
+        let shards: Vec<(u32, u64)> = if self.is_ec(oid) {
+            let [(offset, data)] = &iovs[..] else {
+                return Err(DaosError::InvalidArg(
+                    "EC objects support a single whole-object extent per write",
+                ));
+            };
+            if *offset != 0 {
                 return Err(DaosError::InvalidArg(
                     "EC objects support whole-object writes at offset 0",
                 ));
             }
-            let (h0, h1) = ec::split_halves(&data);
+            let (h0, h1) = ec::split_halves(data);
             let parity = Bytes::from(ec::xor_parity(&h0, &h1));
             // EC2P1 placement always yields two data cells; destructure
             // instead of indexing so a malformed layout errors rather
@@ -942,92 +859,22 @@ impl SimClient {
             ];
             ec_parity = Some(parity);
             shards
-        } else if oid.class().replicas(self.pool_targets()) > 1 {
-            replica_targets(oid, self.pool_targets())
-                .into_iter()
-                .map(|t| (t, len))
+        } else if self.is_replicated(oid) {
+            let replicas = replica_targets(oid, self.pool_targets());
+            iovs.iter()
+                .flat_map(|(_, data)| replicas.iter().map(|&t| (t, data.len() as u64)))
                 .collect()
         } else {
-            array_target_shards(oid, offset, len, self.pool_targets())
+            iovs.iter()
+                .flat_map(|(offset, data)| {
+                    array_target_shards(oid, *offset, data.len() as u64, self.pool_targets())
+                })
+                .collect()
         };
         let shards: Vec<(u32, u64)> = shards
             .into_iter()
             .map(|(t, b)| (self.live_target(t), b))
             .collect();
-        // The attempt fails fast if any owning engine is down — writes
-        // require the full redundancy group; transient recovery (retry,
-        // backoff, pool-map re-consultation) lives in the `retrying`
-        // wrapper around this body.
-        for (t, _) in &shards {
-            self.engine_for(*t)?;
-        }
-        self.latency().await;
-        let lock = self.d.obj_lock(cont.uuid, oid, offset / ARRAY_CHUNK);
-        {
-            let _g = lock.acquire_one(self.lane()).await;
-            let _os = self.d.sim.span("objstore", "array_update");
-            let writes: Vec<_> = shards
-                .iter()
-                .map(|&(t, bytes)| {
-                    let this = self.clone();
-                    async move { this.shard_write(t, bytes).await }
-                })
-                .collect();
-            for r in join_all(writes).await {
-                r?;
-            }
-            self.d.pool.charge(len)?;
-            cont.cont.array_write(oid, offset, data)?;
-            if let Some(parity) = ec_parity {
-                self.d.pool.charge(parity.len() as u64)?;
-                cont.cont.array_set_parity(oid, parity)?;
-            }
-        }
-        self.latency().await;
-        Ok(())
-    }
-
-    /// Scatter-gather write: all extents ride one request and one lock
-    /// acquisition pass, their shard flows and media services running
-    /// concurrently. EC objects only support their whole-object write
-    /// shape, so multi-extent EC batches are rejected up front.
-    async fn array_write_vec_once(
-        &self,
-        cont: &SimCont,
-        oid: Oid,
-        iovs: Vec<(u64, Bytes)>,
-    ) -> Result<()> {
-        if iovs.is_empty() {
-            return Ok(());
-        }
-        let is_ec =
-            oid.class() == ObjectClass::EC2P1 && oid.class().parity_cells(self.pool_targets()) > 0;
-        if iovs.len() == 1 || is_ec {
-            if iovs.len() > 1 {
-                return Err(DaosError::InvalidArg(
-                    "EC objects support a single whole-object extent per write",
-                ));
-            }
-            let Some((offset, data)) = iovs.into_iter().next() else {
-                return Ok(());
-            };
-            return self.array_write_once(cont, oid, offset, data).await;
-        }
-        let replicated = oid.class().replicas(self.pool_targets()) > 1;
-        // Shards of every extent, as its own array_write would place them.
-        let mut shards: Vec<(u32, u64)> = Vec::new();
-        for (offset, data) in &iovs {
-            let len = data.len() as u64;
-            let per_iov: Vec<(u32, u64)> = if replicated {
-                replica_targets(oid, self.pool_targets())
-                    .into_iter()
-                    .map(|t| (t, len))
-                    .collect()
-            } else {
-                array_target_shards(oid, *offset, len, self.pool_targets())
-            };
-            shards.extend(per_iov.into_iter().map(|(t, b)| (self.live_target(t), b)));
-        }
         for (t, _) in &shards {
             self.engine_for(*t)?;
         }
@@ -1049,10 +896,7 @@ impl SimClient {
             let _os = self.d.sim.span("objstore", "array_update");
             let writes: Vec<_> = shards
                 .iter()
-                .map(|&(t, bytes)| {
-                    let this = self.clone();
-                    async move { this.shard_write(t, bytes).await }
-                })
+                .map(|&(t, bytes)| self.shard_write(t, bytes))
                 .collect();
             for r in join_all(writes).await {
                 r?;
@@ -1060,6 +904,10 @@ impl SimClient {
             let total: u64 = iovs.iter().map(|(_, d)| d.len() as u64).sum();
             self.d.pool.charge(total)?;
             cont.cont.array_write_vec(oid, iovs)?;
+            if let Some(parity) = ec_parity {
+                self.d.pool.charge(parity.len() as u64)?;
+                cont.cont.array_set_parity(oid, parity)?;
+            }
         }
         self.latency().await;
         Ok(())
@@ -1072,10 +920,8 @@ impl SimClient {
         offset: u64,
         len: u64,
     ) -> Result<Bytes> {
-        let is_ec =
-            oid.class() == ObjectClass::EC2P1 && oid.class().parity_cells(self.pool_targets()) > 0;
         let mut ec_reconstruct: Option<u32> = None; // index of the dead data cell
-        let shards: Vec<(u32, u64)> = if is_ec {
+        let shards: Vec<(u32, u64)> = if self.is_ec(oid) {
             let (dts, pt) = ec_targets(oid, self.pool_targets());
             let dts: Vec<u32> = dts.into_iter().map(|t| self.live_target(t)).collect();
             let &[d0, d1] = &dts[..] else {
@@ -1106,13 +952,9 @@ impl SimClient {
                     ))
                 }
             }
-        } else if oid.class().replicas(self.pool_targets()) > 1 {
+        } else if self.is_replicated(oid) {
             // Degraded-capable read: any alive replica serves the extent.
-            let reps: Vec<u32> = replica_targets(oid, self.pool_targets())
-                .into_iter()
-                .map(|t| self.live_target(t))
-                .collect();
-            vec![(self.first_alive(&reps)?, len)]
+            vec![(self.first_alive(&self.live_replicas(oid))?, len)]
         } else {
             array_target_shards(oid, offset, len, self.pool_targets())
                 .into_iter()
@@ -1130,10 +972,7 @@ impl SimClient {
             let _os = self.d.sim.span("objstore", "array_fetch");
             let reads: Vec<_> = shards
                 .iter()
-                .map(|&(t, bytes)| {
-                    let this = self.clone();
-                    async move { this.shard_read(t, bytes).await }
-                })
+                .map(|&(t, bytes)| self.shard_read(t, bytes))
                 .collect();
             for r in join_all(reads).await {
                 r?;
@@ -1246,21 +1085,15 @@ impl DaosApi for SimClient {
     }
 
     async fn kv_put(&self, cont: &Self::Cont, oid: Oid, key: &[u8], value: Bytes) -> Result<()> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::KvPut, move || {
-            let (this, cont, value) = (this.clone(), cont.clone(), value.clone());
-            async move { this.kv_put_once(&cont, oid, key, value).await }
+        self.retrying(ClientOp::KvPut, || {
+            self.kv_put_once(cont, oid, key, value.clone())
         })
         .await
     }
 
     async fn kv_get(&self, cont: &Self::Cont, oid: Oid, key: &[u8]) -> Result<Option<Bytes>> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::KvGet, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.kv_get_once(&cont, oid, key).await }
-        })
-        .await
+        self.retrying(ClientOp::KvGet, || self.kv_get_once(cont, oid, key))
+            .await
     }
 
     async fn kv_put_if_absent(
@@ -1270,30 +1103,20 @@ impl DaosApi for SimClient {
         key: &[u8],
         value: Bytes,
     ) -> Result<Option<Bytes>> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::KvPutIfAbsent, move || {
-            let (this, cont, value) = (this.clone(), cont.clone(), value.clone());
-            async move { this.kv_put_if_absent_once(&cont, oid, key, value).await }
+        self.retrying(ClientOp::KvPutIfAbsent, || {
+            self.kv_put_if_absent_once(cont, oid, key, value.clone())
         })
         .await
     }
 
     async fn kv_remove(&self, cont: &Self::Cont, oid: Oid, key: &[u8]) -> Result<()> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::KvRemove, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.kv_remove_once(&cont, oid, key).await }
-        })
-        .await
+        self.retrying(ClientOp::KvRemove, || self.kv_remove_once(cont, oid, key))
+            .await
     }
 
     async fn kv_list_keys(&self, cont: &Self::Cont, oid: Oid) -> Result<Vec<Bytes>> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::KvListKeys, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.kv_list_keys_once(&cont, oid).await }
-        })
-        .await
+        self.retrying(ClientOp::KvListKeys, || self.kv_list_keys_once(cont, oid))
+            .await
     }
 
     async fn kv_list_range(
@@ -1303,14 +1126,8 @@ impl DaosApi for SimClient {
         from: Bytes,
         until: Option<Bytes>,
     ) -> Result<Vec<Bytes>> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::KvListRange, move || {
-            let (this, cont, from, until) =
-                (this.clone(), cont.clone(), from.clone(), until.clone());
-            async move {
-                this.kv_list_range_once(&cont, oid, &from, until.as_deref())
-                    .await
-            }
+        self.retrying(ClientOp::KvListRange, || {
+            self.kv_list_range_once(cont, oid, &from, until.as_deref())
         })
         .await
     }
@@ -1321,39 +1138,27 @@ impl DaosApi for SimClient {
         oid: Oid,
         pairs: Vec<(Bytes, Bytes)>,
     ) -> Result<()> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::KvPutMulti, move || {
-            let (this, cont, pairs) = (this.clone(), cont.clone(), pairs.clone());
-            async move { this.kv_put_multi_once(&cont, oid, pairs).await }
+        self.retrying(ClientOp::KvPutMulti, || {
+            self.kv_put_multi_once(cont, oid, pairs.clone())
         })
         .await
     }
 
     async fn array_create(&self, cont: &Self::Cont, oid: Oid) -> Result<ArrayHandle> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::ArrayCreate, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.array_create_once(&cont, oid).await }
-        })
-        .await
-        .map(|()| ArrayHandle::from_open(oid))
+        self.retrying(ClientOp::ArrayCreate, || self.array_create_once(cont, oid))
+            .await
+            .map(|()| ArrayHandle::from_open(oid))
     }
 
     async fn array_open(&self, cont: &Self::Cont, oid: Oid) -> Result<ArrayHandle> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::ArrayOpen, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.array_open_once(&cont, oid).await }
-        })
-        .await
-        .map(|()| ArrayHandle::from_open(oid))
+        self.retrying(ClientOp::ArrayOpen, || self.array_open_once(cont, oid))
+            .await
+            .map(|()| ArrayHandle::from_open(oid))
     }
 
     async fn array_open_or_create(&self, cont: &Self::Cont, oid: Oid) -> Result<ArrayHandle> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::ArrayOpenOrCreate, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.array_open_or_create_once(&cont, oid).await }
+        self.retrying(ClientOp::ArrayOpenOrCreate, || {
+            self.array_open_or_create_once(cont, oid)
         })
         .await
         .map(|()| ArrayHandle::from_open(oid))
@@ -1366,10 +1171,8 @@ impl DaosApi for SimClient {
         offset: u64,
         data: Bytes,
     ) -> Result<()> {
-        let (this, cont, oid) = (self.clone(), cont.clone(), handle.oid());
-        self.retrying(ClientOp::ArrayWrite, move || {
-            let (this, cont, data) = (this.clone(), cont.clone(), data.clone());
-            async move { this.array_write_once(&cont, oid, offset, data).await }
+        self.retrying(ClientOp::ArrayWrite, || {
+            self.array_write_vec_once(cont, handle.oid(), vec![(offset, data.clone())])
         })
         .await
     }
@@ -1380,10 +1183,8 @@ impl DaosApi for SimClient {
         handle: &ArrayHandle,
         iovs: Vec<(u64, Bytes)>,
     ) -> Result<()> {
-        let (this, cont, oid) = (self.clone(), cont.clone(), handle.oid());
-        self.retrying(ClientOp::ArrayWriteVec, move || {
-            let (this, cont, iovs) = (this.clone(), cont.clone(), iovs.clone());
-            async move { this.array_write_vec_once(&cont, oid, iovs).await }
+        self.retrying(ClientOp::ArrayWriteVec, || {
+            self.array_write_vec_once(cont, handle.oid(), iovs.clone())
         })
         .await
     }
@@ -1395,19 +1196,15 @@ impl DaosApi for SimClient {
         offset: u64,
         len: u64,
     ) -> Result<Bytes> {
-        let (this, cont, oid) = (self.clone(), cont.clone(), handle.oid());
-        self.retrying(ClientOp::ArrayRead, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.array_read_once(&cont, oid, offset, len).await }
+        self.retrying(ClientOp::ArrayRead, || {
+            self.array_read_once(cont, handle.oid(), offset, len)
         })
         .await
     }
 
     async fn array_size(&self, cont: &Self::Cont, handle: &ArrayHandle) -> Result<u64> {
-        let (this, cont, oid) = (self.clone(), cont.clone(), handle.oid());
-        self.retrying(ClientOp::ArraySize, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.array_size_once(&cont, oid).await }
+        self.retrying(ClientOp::ArraySize, || {
+            self.array_size_once(cont, handle.oid())
         })
         .await
     }
@@ -1417,12 +1214,8 @@ impl DaosApi for SimClient {
     }
 
     async fn obj_punch(&self, cont: &Self::Cont, oid: Oid) -> Result<()> {
-        let (this, cont) = (self.clone(), cont.clone());
-        self.retrying(ClientOp::ObjPunch, move || {
-            let (this, cont) = (this.clone(), cont.clone());
-            async move { this.obj_punch_once(&cont, oid).await }
-        })
-        .await
+        self.retrying(ClientOp::ObjPunch, || self.obj_punch_once(cont, oid))
+            .await
     }
 
     async fn list_array_objects(&self, cont: &Self::Cont) -> Result<Vec<Oid>> {
@@ -1861,7 +1654,7 @@ mod tests {
                     let Ok(cont) = client.cont_open_or_create(Uuid::from_name(b"cc")).await else {
                         return;
                     };
-                    let mut alloc = OidAllocator::new(p.into());
+                    let mut alloc = OidAllocator::new(p);
                     for i in 0..6u64 {
                         let class = match i % 3 {
                             0 => ObjectClass::S1,

@@ -22,7 +22,7 @@
 
 use std::rc::Rc;
 
-use daosim_kernel::sync::{join_all, Semaphore};
+use daosim_kernel::sync::{join_all, AdmissionClass, PrioritySemaphore};
 use daosim_kernel::SimDuration;
 use daosim_objstore::placement::{ec_targets, replica_targets, stripe_targets};
 use daosim_objstore::prelude::{ObjectClass, Oid, Uuid};
@@ -104,8 +104,9 @@ pub async fn rebuild_engine(
     //    redundancy. Work is fanned out with bounded concurrency.
     let start = d.sim.now();
     let mut report = RebuildReport::default();
-    let gate =
-        Semaphore::new(REBUILD_STREAMS_PER_ENGINE * (survivors.len() / tpe.max(1) as usize).max(1));
+    let gate = PrioritySemaphore::fifo(
+        REBUILD_STREAMS_PER_ENGINE * (survivors.len() / tpe.max(1) as usize).max(1),
+    );
     let mut moves = Vec::new();
     for cu in d.pool.cont_list() {
         let cont = d.pool.cont_open(cu).expect("listed container opens");
@@ -151,7 +152,7 @@ pub async fn rebuild_engine(
                         let dst = d.resolve_target(dead_t);
                         let (d2, gate) = (Rc::clone(d), gate.clone());
                         moves.push(async move {
-                            let _slot = gate.acquire_one().await;
+                            let _slot = gate.acquire_one(AdmissionClass::Normal).await;
                             d2.stream_between_targets(src, dst, bytes).await;
                         });
                     }

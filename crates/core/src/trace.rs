@@ -57,7 +57,9 @@ impl Trace {
     /// Synthesizes an operational-cycle schedule: `procs` I/O-server
     /// processes each emit `fields_per_step` writes per forecast step,
     /// steps `step_interval` apart; reads of each step are scheduled one
-    /// step later (product generation consuming the previous step).
+    /// step later (product generation consuming the previous step). The
+    /// last reads land at `(steps + 1) × step_interval`, which the caller
+    /// keeps within `u64` nanoseconds.
     pub fn synthesize_operational(
         procs: u32,
         steps: u32,
@@ -70,8 +72,11 @@ impl Trace {
             let step_t = step as u64 * step_interval.as_nanos();
             for p in 0..procs {
                 for f in 0..fields_per_step {
-                    // Writes spread evenly through the step window.
-                    let jitter = f as u64 * step_interval.as_nanos() / (fields_per_step as u64 + 1);
+                    // Writes spread evenly through the step window. The
+                    // product is taken in u128 so it cannot wrap; the
+                    // quotient is below one interval.
+                    let jitter = (f as u128 * step_interval.as_nanos() as u128
+                        / (fields_per_step as u128 + 1)) as u64;
                     let key = Self::key(p, step, f);
                     entries.push(TraceEntry {
                         t_ns: step_t + jitter,
@@ -574,6 +579,42 @@ mod tests {
             .find(|e| !e.write && e.key == w.key)
             .unwrap();
         assert_eq!(r.t_ns - w.t_ns, 60_000_000);
+    }
+
+    #[test]
+    fn write_jitter_is_exact_and_cannot_wrap() {
+        // Small intervals: writes sit at step × interval + f × interval /
+        // (fields + 1), the u64 arithmetic of every committed trace.
+        let t = small_trace();
+        let interval = 60_000_000u64;
+        for step in 0..2u64 {
+            for f in 0..6u64 {
+                let want = step * interval + f * interval / 7;
+                assert!(
+                    t.entries.iter().any(|e| e.write && e.t_ns == want),
+                    "no write at {want}"
+                );
+            }
+        }
+        // A huge interval: f × interval overflows u64 for f ≥ 3, yet the
+        // jitter stays exact and inside the step window.
+        let interval = u64::MAX / 3;
+        let t = Trace::synthesize_operational(1, 1, 8, MIB, SimDuration::from_nanos(interval));
+        let writes: Vec<u64> = t
+            .entries
+            .iter()
+            .filter(|e| e.write)
+            .map(|e| e.t_ns)
+            .collect();
+        let want: Vec<u64> = (0..8u128)
+            .map(|f| (f * interval as u128 / 9) as u64)
+            .collect();
+        assert_eq!(writes, want);
+        assert!(t
+            .entries
+            .iter()
+            .filter(|e| !e.write)
+            .all(|e| e.t_ns >= interval && e.t_ns < 2 * interval));
     }
 
     #[test]

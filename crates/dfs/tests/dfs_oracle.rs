@@ -418,8 +418,8 @@ proptest! {
     }
 }
 
-/// The path layer alone, against std's component intuition: canonical
-/// forms are idempotent and slash-insensitive.
+// The path layer alone, against std's component intuition: canonical
+// forms are idempotent and slash-insensitive.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -1,10 +1,11 @@
 //! Synchronization primitives for simulated processes.
 //!
-//! These mirror the primitives the modelled systems rely on: FIFO
-//! semaphores (service queues at DAOS targets), barriers (MPI-style
+//! These mirror the primitives the modelled systems rely on: a counting
+//! semaphore with per-class admission lanes (service queues at DAOS
+//! targets, update locks, rebuild gates), barriers (MPI-style
 //! synchronization in IOR), one-shot completions and unbounded channels.
-//! All of them are single-threaded (`Rc`-based) and strictly FIFO, which
-//! keeps runs deterministic.
+//! All of them are single-threaded (`Rc`-based) and grant in a fixed,
+//! seed-free order, which keeps runs deterministic.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -14,207 +15,14 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 // ---------------------------------------------------------------------------
-// Semaphore
-// ---------------------------------------------------------------------------
-
-struct SemWaiter {
-    n: usize,
-    granted: Cell<bool>,
-    cancelled: Cell<bool>,
-    waker: RefCell<Option<Waker>>,
-}
-
-struct SemInner {
-    permits: Cell<usize>,
-    waiters: RefCell<VecDeque<Rc<SemWaiter>>>,
-}
-
-impl SemInner {
-    /// Hands permits to queued waiters in FIFO order. A large request at
-    /// the head blocks smaller ones behind it (no barging), which is the
-    /// behaviour wanted for modelling service queues.
-    fn drain(&self) {
-        loop {
-            let front = {
-                let waiters = self.waiters.borrow();
-                match waiters.front() {
-                    Some(w) if w.cancelled.get() => Some(None),
-                    Some(w) if w.n <= self.permits.get() => Some(Some(Rc::clone(w))),
-                    _ => None,
-                }
-            };
-            match front {
-                Some(Some(w)) => {
-                    self.waiters.borrow_mut().pop_front();
-                    self.permits.set(self.permits.get() - w.n);
-                    w.granted.set(true);
-                    if let Some(waker) = w.waker.borrow_mut().take() {
-                        waker.wake();
-                    }
-                }
-                Some(None) => {
-                    self.waiters.borrow_mut().pop_front();
-                }
-                None => break,
-            }
-        }
-    }
-}
-
-/// A FIFO counting semaphore.
-///
-/// ```
-/// use daosim_kernel::{Sim, SimDuration};
-/// use daosim_kernel::sync::Semaphore;
-///
-/// let sim = Sim::new();
-/// let sem = Semaphore::new(1); // a single-server service queue
-/// for _ in 0..3 {
-///     let (s, m) = (sim.clone(), sem.clone());
-///     sim.spawn(async move {
-///         let _permit = m.acquire_one().await;
-///         s.sleep(SimDuration::from_micros(10)).await; // service time
-///     });
-/// }
-/// // Three requests serialize: 30 us total.
-/// assert_eq!(sim.run().expect_quiescent().as_nanos(), 30_000);
-/// ```
-#[derive(Clone)]
-pub struct Semaphore {
-    inner: Rc<SemInner>,
-}
-
-impl Semaphore {
-    pub fn new(permits: usize) -> Self {
-        Semaphore {
-            inner: Rc::new(SemInner {
-                permits: Cell::new(permits),
-                waiters: RefCell::new(VecDeque::new()),
-            }),
-        }
-    }
-
-    pub fn available(&self) -> usize {
-        self.inner.permits.get()
-    }
-
-    /// Number of requests currently queued.
-    pub fn queue_len(&self) -> usize {
-        self.inner
-            .waiters
-            .borrow()
-            .iter()
-            .filter(|w| !w.cancelled.get())
-            .count()
-    }
-
-    /// Acquires `n` permits, waiting FIFO behind earlier requests. The
-    /// returned guard releases the permits when dropped.
-    pub fn acquire(&self, n: usize) -> Acquire {
-        Acquire {
-            sem: self.clone(),
-            n,
-            waiter: None,
-        }
-    }
-
-    /// Acquires a single permit.
-    pub fn acquire_one(&self) -> Acquire {
-        self.acquire(1)
-    }
-
-    fn release(&self, n: usize) {
-        self.inner.permits.set(self.inner.permits.get() + n);
-        self.inner.drain();
-    }
-}
-
-/// Future returned by [`Semaphore::acquire`].
-pub struct Acquire {
-    sem: Semaphore,
-    n: usize,
-    waiter: Option<Rc<SemWaiter>>,
-}
-
-impl Future for Acquire {
-    type Output = SemPermit;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<SemPermit> {
-        let this = &mut *self;
-        if let Some(w) = &this.waiter {
-            if w.granted.get() {
-                this.waiter = None;
-                return Poll::Ready(SemPermit {
-                    sem: this.sem.clone(),
-                    n: this.n,
-                });
-            }
-            *w.waker.borrow_mut() = Some(cx.waker().clone());
-            return Poll::Pending;
-        }
-        let inner = &this.sem.inner;
-        if inner.waiters.borrow().is_empty() && inner.permits.get() >= this.n {
-            inner.permits.set(inner.permits.get() - this.n);
-            return Poll::Ready(SemPermit {
-                sem: this.sem.clone(),
-                n: this.n,
-            });
-        }
-        let waiter = Rc::new(SemWaiter {
-            n: this.n,
-            granted: Cell::new(false),
-            cancelled: Cell::new(false),
-            waker: RefCell::new(Some(cx.waker().clone())),
-        });
-        inner.waiters.borrow_mut().push_back(Rc::clone(&waiter));
-        this.waiter = Some(waiter);
-        Poll::Pending
-    }
-}
-
-impl Drop for Acquire {
-    fn drop(&mut self) {
-        if let Some(w) = self.waiter.take() {
-            if w.granted.get() {
-                // Granted but never observed: hand the permits back.
-                self.sem.release(self.n);
-            } else {
-                // Remove the queue slot immediately and re-drain: a
-                // cancelled waiter at the head (e.g. a big request whose
-                // retry timeout fired) must not keep blocking grantable
-                // waiters behind it until some unrelated release happens.
-                w.cancelled.set(true);
-                self.sem
-                    .inner
-                    .waiters
-                    .borrow_mut()
-                    .retain(|q| !Rc::ptr_eq(q, &w));
-                self.sem.inner.drain();
-            }
-        }
-    }
-}
-
-/// Permits held on a [`Semaphore`]; released on drop.
-pub struct SemPermit {
-    sem: Semaphore,
-    n: usize,
-}
-
-impl Drop for SemPermit {
-    fn drop(&mut self) {
-        self.sem.release(self.n);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // PrioritySemaphore
 // ---------------------------------------------------------------------------
 
 /// How a [`PrioritySemaphore`] picks the next waiter to admit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicy {
-    /// Strict arrival order across every class. Grant order (and therefore
-    /// simulated timing) is byte-identical to a plain [`Semaphore`].
+    /// Strict arrival order across every class: a plain FIFO counting
+    /// semaphore, whatever lanes the waiters queue in.
     #[default]
     Fifo,
     /// Urgent-class waiters (deadline-carrying writers) are admitted ahead
@@ -278,7 +86,6 @@ struct PrioWaiter {
     seq: u64,
     class: AdmissionClass,
     granted: Cell<bool>,
-    cancelled: Cell<bool>,
     waker: RefCell<Option<Waker>>,
 }
 
@@ -286,7 +93,9 @@ struct PrioInner {
     policy: AdmissionPolicy,
     permits: Cell<usize>,
     next_seq: Cell<u64>,
-    /// `lanes[0]` = urgent, `lanes[1]` = normal (see [`lane_of`]).
+    /// `lanes[0]` = urgent, `lanes[1]` = normal (see [`lane_of`]). Only
+    /// live waiters: a grant pops its waiter and a cancelled acquire
+    /// removes its own.
     lanes: [RefCell<VecDeque<Rc<PrioWaiter>>>; 2],
     /// Consecutive urgent grants made while a normal waiter sat queued.
     credit: Cell<u32>,
@@ -295,14 +104,8 @@ struct PrioInner {
 }
 
 impl PrioInner {
-    /// Drops cancelled waiters off the front of `lane` and returns its
-    /// live head.
     fn head(&self, lane: usize) -> Option<Rc<PrioWaiter>> {
-        let mut q = self.lanes[lane].borrow_mut();
-        while q.front().is_some_and(|w| w.cancelled.get()) {
-            q.pop_front();
-        }
-        q.front().cloned()
+        self.lanes[lane].borrow().front().cloned()
     }
 
     /// The waiter the policy would admit next, with its lane. Deterministic:
@@ -332,33 +135,37 @@ impl PrioInner {
         }
     }
 
+    /// Takes `n` permits for a grant in `lane` and updates the aging
+    /// credit. Every grant goes through here, queued or not.
+    fn grant(&self, lane: usize, n: usize) {
+        self.permits.set(self.permits.get() - n);
+        if let AdmissionPolicy::WriterPriority { aging } = self.policy {
+            if lane == 0 {
+                if self.lanes[1].borrow().is_empty() {
+                    self.credit.set(0);
+                } else {
+                    self.credit.set(self.credit.get().saturating_add(1));
+                }
+            } else {
+                if self.credit.get() >= aging.max(1) {
+                    self.aged_grants.set(self.aged_grants.get() + 1);
+                }
+                self.credit.set(0);
+            }
+        }
+    }
+
     /// Hands permits to waiters in policy order. The selected head blocks
     /// smaller requests behind it (no barging within the grant order),
-    /// exactly like [`SemInner::drain`].
+    /// which is the behaviour wanted for modelling service queues.
     fn drain(&self) {
-        loop {
-            let Some((lane, w)) = self.pick() else { break };
+        while let Some((lane, w)) = self.pick() {
             if w.n > self.permits.get() {
                 break;
             }
             self.lanes[lane].borrow_mut().pop_front();
-            self.permits.set(self.permits.get() - w.n);
+            self.grant(lane, w.n);
             w.granted.set(true);
-            if let AdmissionPolicy::WriterPriority { aging } = self.policy {
-                if lane == 0 {
-                    let normal_waiting = self.lanes[1].borrow().iter().any(|q| !q.cancelled.get());
-                    if normal_waiting {
-                        self.credit.set(self.credit.get().saturating_add(1));
-                    } else {
-                        self.credit.set(0);
-                    }
-                } else {
-                    if self.credit.get() >= aging.max(1) {
-                        self.aged_grants.set(self.aged_grants.get() + 1);
-                    }
-                    self.credit.set(0);
-                }
-            }
             let waker = w.waker.borrow_mut().take();
             if let Some(waker) = waker {
                 waker.wake();
@@ -368,15 +175,33 @@ impl PrioInner {
 }
 
 /// A counting semaphore with per-class FIFO lanes and a pluggable
-/// admission policy — the QoS enforcement point for target service
-/// queues.
+/// admission policy — the service queue of every target, engine and
+/// object lock, and the QoS enforcement point.
 ///
 /// Under [`AdmissionPolicy::Fifo`] the grant order is global arrival
-/// order (unique `(class, seq)` tie-break), byte-identical to a plain
-/// [`Semaphore`]. Under [`AdmissionPolicy::WriterPriority`] urgent
-/// waiters go first, with an aging credit so normal waiters are never
-/// starved forever. Dropping a pending [`PrioAcquire`] (a cancelled
-/// retry attempt) removes its queue slot immediately and re-drains.
+/// order (unique `(class, seq)` tie-break): a plain FIFO semaphore.
+/// Under [`AdmissionPolicy::WriterPriority`] urgent waiters go first,
+/// with an aging credit so normal waiters are never starved forever. A
+/// large request at the head of the grant order blocks smaller ones
+/// behind it. Dropping a pending [`PrioAcquire`] (a cancelled retry
+/// attempt) removes its queue slot immediately and re-drains.
+///
+/// ```
+/// use daosim_kernel::{AdmissionClass, Sim, SimDuration};
+/// use daosim_kernel::sync::PrioritySemaphore;
+///
+/// let sim = Sim::new();
+/// let sem = PrioritySemaphore::fifo(1); // a single-server service queue
+/// for _ in 0..3 {
+///     let (s, m) = (sim.clone(), sem.clone());
+///     sim.spawn(async move {
+///         let _permit = m.acquire_one(AdmissionClass::Normal).await;
+///         s.sleep(SimDuration::from_micros(10)).await; // service time
+///     });
+/// }
+/// // Three requests serialize: 30 us total.
+/// assert_eq!(sim.run().expect_quiescent().as_nanos(), 30_000);
+/// ```
 #[derive(Clone)]
 pub struct PrioritySemaphore {
     inner: Rc<PrioInner>,
@@ -409,13 +234,9 @@ impl PrioritySemaphore {
         self.inner.permits.get()
     }
 
-    /// Number of live requests queued across both lanes.
+    /// Number of requests queued across both lanes.
     pub fn queue_len(&self) -> usize {
-        self.inner
-            .lanes
-            .iter()
-            .map(|l| l.borrow().iter().filter(|w| !w.cancelled.get()).count())
-            .sum()
+        self.inner.lanes.iter().map(|l| l.borrow().len()).sum()
     }
 
     /// Grants the aging credit forced to the normal lane so far — the
@@ -454,6 +275,15 @@ pub struct PrioAcquire {
     waiter: Option<Rc<PrioWaiter>>,
 }
 
+impl PrioAcquire {
+    fn permit(&self) -> PrioPermit {
+        PrioPermit {
+            sem: self.sem.clone(),
+            n: self.n,
+        }
+    }
+}
+
 impl Future for PrioAcquire {
     type Output = PrioPermit;
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<PrioPermit> {
@@ -461,10 +291,7 @@ impl Future for PrioAcquire {
         if let Some(w) = &this.waiter {
             if w.granted.get() {
                 this.waiter = None;
-                return Poll::Ready(PrioPermit {
-                    sem: this.sem.clone(),
-                    n: this.n,
-                });
+                return Poll::Ready(this.permit());
             }
             *w.waker.borrow_mut() = Some(cx.waker().clone());
             return Poll::Pending;
@@ -472,26 +299,25 @@ impl Future for PrioAcquire {
         let inner = &this.sem.inner;
         let seq = inner.next_seq.get();
         inner.next_seq.set(seq + 1);
+        let lane = lane_of(this.class);
+        if inner.lanes.iter().all(|l| l.borrow().is_empty()) && inner.permits.get() >= this.n {
+            // Uncontended: grant without queueing a waiter.
+            inner.grant(lane, this.n);
+            return Poll::Ready(this.permit());
+        }
         let waiter = Rc::new(PrioWaiter {
             n: this.n,
             seq,
             class: this.class,
             granted: Cell::new(false),
-            cancelled: Cell::new(false),
             waker: RefCell::new(None),
         });
-        inner.lanes[lane_of(this.class)]
-            .borrow_mut()
-            .push_back(Rc::clone(&waiter));
+        inner.lanes[lane].borrow_mut().push_back(Rc::clone(&waiter));
         inner.drain();
         if waiter.granted.get() {
-            // Drained synchronously (uncontended, or an urgent arrival
-            // admitted past a blocked normal head): no wake round-trip,
-            // matching the plain semaphore's fast path.
-            return Poll::Ready(PrioPermit {
-                sem: this.sem.clone(),
-                n: this.n,
-            });
+            // Drained synchronously (an urgent arrival admitted past a
+            // blocked normal head): no wake round-trip.
+            return Poll::Ready(this.permit());
         }
         *waiter.waker.borrow_mut() = Some(cx.waker().clone());
         this.waiter = Some(waiter);
@@ -507,9 +333,9 @@ impl Drop for PrioAcquire {
                 self.sem.release(self.n);
             } else {
                 // Cancellation-safe removal: free the slot now and
-                // re-drain so a cancelled head cannot swallow the wakeup
-                // destined for the waiter behind it.
-                w.cancelled.set(true);
+                // re-drain so a cancelled head (e.g. a big request whose
+                // retry timeout fired) cannot swallow the wakeup destined
+                // for the waiter behind it.
                 self.sem.inner.lanes[lane_of(w.class)]
                     .borrow_mut()
                     .retain(|q| !Rc::ptr_eq(q, &w));
@@ -1030,14 +856,14 @@ mod tests {
     #[test]
     fn semaphore_serializes_fifo() {
         let sim = Sim::new();
-        let sem = Semaphore::new(1);
+        let sem = PrioritySemaphore::fifo(1);
         let log: Rc<RefCell<Vec<(u32, u64)>>> = Rc::default();
         for i in 0..4u32 {
             let (s, sem, log) = (sim.clone(), sem.clone(), Rc::clone(&log));
             sim.spawn(async move {
                 // Stagger arrivals so the queue order is well-defined.
                 s.sleep(SimDuration::from_nanos(i as u64)).await;
-                let _permit = sem.acquire_one().await;
+                let _permit = sem.acquire_one(AdmissionClass::Normal).await;
                 log.borrow_mut().push((i, s.now().as_nanos()));
                 s.sleep(SimDuration::from_nanos(100)).await;
             });
@@ -1055,11 +881,11 @@ mod tests {
     #[test]
     fn semaphore_multi_permit_no_barging() {
         let sim = Sim::new();
-        let sem = Semaphore::new(2);
+        let sem = PrioritySemaphore::fifo(2);
         let log: Rc<RefCell<Vec<&'static str>>> = Rc::default();
         let (s1, m1, l1) = (sim.clone(), sem.clone(), Rc::clone(&log));
         sim.spawn(async move {
-            let _p = m1.acquire(2).await;
+            let _p = m1.acquire(2, AdmissionClass::Normal).await;
             l1.borrow_mut().push("big-in");
             s1.sleep(SimDuration::from_nanos(50)).await;
             l1.borrow_mut().push("big-out");
@@ -1068,7 +894,7 @@ mod tests {
         sim.spawn(async move {
             s2.sleep(SimDuration::from_nanos(1)).await;
             // Queued behind nothing, but only 0 permits free until big-out.
-            let _p = m2.acquire(1).await;
+            let _p = m2.acquire_one(AdmissionClass::Normal).await;
             l2.borrow_mut().push("small");
         });
         sim.run().expect_quiescent();
@@ -1078,10 +904,10 @@ mod tests {
     #[test]
     fn semaphore_cancelled_waiter_is_skipped() {
         let sim = Sim::new();
-        let sem = Semaphore::new(0);
+        let sem = PrioritySemaphore::fifo(0);
         {
             // Create and immediately drop a pending acquire.
-            let mut acq = sem.acquire(1);
+            let mut acq = sem.acquire_one(AdmissionClass::Normal);
             let waker = Waker::noop();
             let mut cx = Context::from_waker(waker);
             assert!(Pin::new(&mut acq).poll(&mut cx).is_pending());
@@ -1090,7 +916,7 @@ mod tests {
         let hit: Rc<Cell<bool>> = Rc::default();
         let (m, h) = (sem.clone(), Rc::clone(&hit));
         sim.spawn(async move {
-            let _p = m.acquire_one().await;
+            let _p = m.acquire_one(AdmissionClass::Normal).await;
             h.set(true);
         });
         sem.release(1);
@@ -1104,15 +930,15 @@ mod tests {
         // dropped while queued; the waiter behind it must be admitted
         // without any further release() happening.
         let sim = Sim::new();
-        let sem = Semaphore::new(1);
-        let mut big = sem.acquire(2);
+        let sem = PrioritySemaphore::fifo(1);
+        let mut big = sem.acquire(2, AdmissionClass::Normal);
         let waker = Waker::noop();
         let mut cx = Context::from_waker(waker);
         assert!(Pin::new(&mut big).poll(&mut cx).is_pending());
         let hit: Rc<Cell<bool>> = Rc::default();
         let (m, h) = (sem.clone(), Rc::clone(&hit));
         sim.spawn(async move {
-            let _p = m.acquire_one().await;
+            let _p = m.acquire_one(AdmissionClass::Normal).await;
             h.set(true);
         });
         drop(big);
@@ -1124,19 +950,29 @@ mod tests {
         );
     }
 
-    /// Staggered arrivals through `sem`, one task per entry of `plan`
-    /// (`(class, hold_ns)`), logging `(task, grant_time)`.
-    fn prio_grant_log(
+    /// One task per entry of `plan` (`(class, arrive_ns, hold_ns,
+    /// cancel_after_ns)`), logging `(task, grant_time)`. A task with a
+    /// cancel deadline gives up its acquire when the deadline passes.
+    fn prio_grant_log_with(
         sim: &Sim,
         sem: &PrioritySemaphore,
-        plan: &[(AdmissionClass, u64)],
+        plan: &[(AdmissionClass, u64, u64, Option<u64>)],
     ) -> Vec<(u32, u64)> {
         let log: Rc<RefCell<Vec<(u32, u64)>>> = Rc::default();
-        for (i, &(class, hold)) in plan.iter().enumerate() {
+        for (i, &(class, arrive, hold, cancel)) in plan.iter().enumerate() {
             let (s, m, log) = (sim.clone(), sem.clone(), Rc::clone(&log));
             sim.spawn(async move {
-                s.sleep(SimDuration::from_nanos(i as u64)).await;
-                let _p = m.acquire_one(class).await;
+                s.sleep(SimDuration::from_nanos(arrive)).await;
+                let _p = match cancel {
+                    None => m.acquire_one(class).await,
+                    Some(after) => {
+                        let limit = SimDuration::from_nanos(after);
+                        match timeout(&s, limit, m.acquire_one(class)).await {
+                            Ok(p) => p,
+                            Err(Elapsed) => return,
+                        }
+                    }
+                };
                 log.borrow_mut().push((i as u32, s.now().as_nanos()));
                 s.sleep(SimDuration::from_nanos(hold)).await;
             });
@@ -1145,12 +981,27 @@ mod tests {
         Rc::try_unwrap(log).unwrap().into_inner()
     }
 
+    /// Staggered arrivals through `sem`, one task per entry of `plan`
+    /// (`(class, hold_ns)`), logging `(task, grant_time)`.
+    fn prio_grant_log(
+        sim: &Sim,
+        sem: &PrioritySemaphore,
+        plan: &[(AdmissionClass, u64)],
+    ) -> Vec<(u32, u64)> {
+        let plan: Vec<_> = plan
+            .iter()
+            .enumerate()
+            .map(|(i, &(class, hold))| (class, i as u64, hold, None))
+            .collect();
+        prio_grant_log_with(sim, sem, &plan)
+    }
+
     #[test]
-    fn priority_fifo_matches_plain_semaphore() {
+    fn priority_fifo_ignores_the_class_mix() {
         // Under AdmissionPolicy::Fifo the (class, seq) tie-break reduces
-        // to global arrival order: grant times must match the plain
-        // Semaphore exactly, whatever the class mix.
-        let plan: Vec<(AdmissionClass, u64)> = (0..6)
+        // to global arrival order: grant times are the same whether the
+        // waiters alternate lanes or all queue normal.
+        let mixed: Vec<(AdmissionClass, u64)> = (0..6)
             .map(|i| {
                 let class = if i % 2 == 0 {
                     AdmissionClass::Urgent
@@ -1160,22 +1011,48 @@ mod tests {
                 (class, 100)
             })
             .collect();
+        let normal: Vec<(AdmissionClass, u64)> = mixed
+            .iter()
+            .map(|&(_, h)| (AdmissionClass::Normal, h))
+            .collect();
+        let got = prio_grant_log(&Sim::new(), &PrioritySemaphore::fifo(1), &mixed);
+        let want = prio_grant_log(&Sim::new(), &PrioritySemaphore::fifo(1), &normal);
+        assert_eq!(got, want);
+        assert_eq!(
+            got,
+            vec![(0, 0), (1, 100), (2, 200), (3, 300), (4, 400), (5, 500)]
+        );
+    }
+
+    #[test]
+    fn uncontended_grant_keeps_the_aging_bookkeeping() {
+        // Two urgent grants accrue aging credit while normal task 1 waits;
+        // task 1 then cancels, leaving the credit behind with both lanes
+        // empty. Task 4 arrives uncontended — the no-queue fast path — and
+        // its grant must still settle the credit exactly as a queued grant
+        // does: counted as aged, credit reset, so urgent task 5 goes
+        // before normal task 6.
+        let n = AdmissionClass::Normal;
+        let u = AdmissionClass::Urgent;
+        let plan = [
+            (u, 0, 100, None),
+            (n, 1, 100, Some(249)),
+            (u, 2, 100, None),
+            (u, 3, 100, None),
+            (n, 400, 100, None),
+            (u, 401, 100, None),
+            (n, 402, 100, None),
+        ];
         let sim = Sim::new();
-        let got = prio_grant_log(&sim, &PrioritySemaphore::fifo(1), &plan);
-        let plain = Sim::new();
-        let sem = Semaphore::new(1);
-        let log: Rc<RefCell<Vec<(u32, u64)>>> = Rc::default();
-        for (i, &(_, hold)) in plan.iter().enumerate() {
-            let (s, m, log) = (plain.clone(), sem.clone(), Rc::clone(&log));
-            plain.spawn(async move {
-                s.sleep(SimDuration::from_nanos(i as u64)).await;
-                let _p = m.acquire_one().await;
-                log.borrow_mut().push((i as u32, s.now().as_nanos()));
-                s.sleep(SimDuration::from_nanos(hold)).await;
-            });
-        }
-        plain.run().expect_quiescent();
-        assert_eq!(got, log.borrow().clone());
+        let sem = PrioritySemaphore::new(1, AdmissionPolicy::WriterPriority { aging: 2 });
+        let got = prio_grant_log_with(&sim, &sem, &plan);
+        assert_eq!(
+            got,
+            vec![(0, 0), (2, 100), (3, 200), (4, 400), (5, 500), (6, 600)]
+        );
+        assert_eq!(sem.aged_grants(), 1);
+        assert_eq!(sem.queue_len(), 0);
+        assert_eq!(sem.available(), 1);
     }
 
     #[test]

@@ -4,9 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use daosim_kernel::sync::{
-    timeout, AdmissionClass, AdmissionPolicy, Barrier, PrioritySemaphore, Semaphore,
-};
+use daosim_kernel::sync::{timeout, AdmissionClass, AdmissionPolicy, Barrier, PrioritySemaphore};
 use daosim_kernel::{Sim, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -29,70 +27,43 @@ fn cancel_plan(max_want: usize) -> impl Strategy<Value = CancelPlan> {
     })
 }
 
-/// Either semaphore flavour behind one acquire surface, so the same
-/// scenario drives both and the FIFO-mode grant logs can be compared.
-#[derive(Clone)]
-enum AnySem {
-    Plain(Semaphore),
-    Prio(PrioritySemaphore),
+/// The lane task `i` queues in: every third task urgent, or all normal.
+fn class_of(i: usize, mixed: bool) -> AdmissionClass {
+    if mixed && i.is_multiple_of(3) {
+        AdmissionClass::Urgent
+    } else {
+        AdmissionClass::Normal
+    }
 }
 
-impl AnySem {
-    async fn run_one(
-        &self,
-        sim: Sim,
-        i: usize,
-        p: CancelPlan,
-        log: Rc<RefCell<Vec<(usize, u64)>>>,
-    ) {
-        let class = if i % 3 == 0 {
-            AdmissionClass::Urgent
-        } else {
-            AdmissionClass::Normal
-        };
-        // Stagger arrivals so task i is queue position i.
-        sim.sleep(SimDuration::from_nanos(i as u64)).await;
-        // Cancelling requests may want more than the semaphore has
-        // (never grantable); live requests are clamped by the caller.
-        let granted = match self {
-            AnySem::Plain(sem) => {
-                if p.cancel {
-                    timeout(
-                        &sim,
-                        SimDuration::from_nanos(p.hold / 2),
-                        sem.acquire(p.want),
-                    )
-                    .await
-                    .is_ok()
-                } else {
-                    let _g = sem.acquire(p.want).await;
-                    log.borrow_mut().push((i, sim.now().as_nanos()));
-                    sim.sleep(SimDuration::from_nanos(p.hold)).await;
-                    return;
-                }
-            }
-            AnySem::Prio(sem) => {
-                if p.cancel {
-                    timeout(
-                        &sim,
-                        SimDuration::from_nanos(p.hold / 2),
-                        sem.acquire(p.want, class),
-                    )
-                    .await
-                    .is_ok()
-                } else {
-                    let _g = sem.acquire(p.want, class).await;
-                    log.borrow_mut().push((i, sim.now().as_nanos()));
-                    sim.sleep(SimDuration::from_nanos(p.hold)).await;
-                    return;
-                }
-            }
-        };
-        if granted {
+/// One task of the cancellation scenario: arrives at `i` ns (so task i is
+/// queue position i), then either holds its grant for `hold` ns or, if
+/// it cancels, gives up after `hold / 2` ns.
+async fn run_one(
+    sem: PrioritySemaphore,
+    sim: Sim,
+    i: usize,
+    class: AdmissionClass,
+    p: CancelPlan,
+    log: Rc<RefCell<Vec<(usize, u64)>>>,
+) {
+    sim.sleep(SimDuration::from_nanos(i as u64)).await;
+    // Cancelling requests may want more than the semaphore has (never
+    // grantable); live requests are clamped by the caller.
+    if p.cancel {
+        let limit = SimDuration::from_nanos(p.hold / 2);
+        if timeout(&sim, limit, sem.acquire(p.want, class))
+            .await
+            .is_ok()
+        {
             // A same-instant grant can beat the timeout; that is a
             // normal grant, log it so conservation still balances.
             log.borrow_mut().push((i, sim.now().as_nanos()));
         }
+    } else {
+        let _g = sem.acquire(p.want, class).await;
+        log.borrow_mut().push((i, sim.now().as_nanos()));
+        sim.sleep(SimDuration::from_nanos(p.hold)).await;
     }
 }
 
@@ -100,7 +71,8 @@ impl AnySem {
 /// quiescence). Panics (-> proptest failure) if any task strands, which
 /// is exactly what a swallowed wakeup produces.
 fn run_cancel_scenario(
-    sem: AnySem,
+    sem: PrioritySemaphore,
+    mixed: bool,
     permits: usize,
     plans: &[CancelPlan],
 ) -> (Vec<(usize, u64)>, usize) {
@@ -112,15 +84,19 @@ fn run_cancel_scenario(
             p.want = p.want.min(permits); // live requests must be grantable
         }
         let (s, m, log) = (sim.clone(), sem.clone(), Rc::clone(&log));
-        sim.spawn(async move { m.run_one(s, i, p, log).await });
+        sim.spawn(run_one(m, s, i, class_of(i, mixed), p, log));
     }
     sim.run().expect_quiescent();
-    let avail = match &sem {
-        AnySem::Plain(s) => s.available(),
-        AnySem::Prio(s) => s.available(),
-    };
     let granted = log.borrow().clone();
-    (granted, avail)
+    (granted, sem.available())
+}
+
+/// Both admission policies, freshly built with `permits`.
+fn both_policies(permits: usize) -> [PrioritySemaphore; 2] {
+    [
+        PrioritySemaphore::fifo(permits),
+        PrioritySemaphore::new(permits, AdmissionPolicy::WriterPriority { aging: 2 }),
+    ]
 }
 
 proptest! {
@@ -171,32 +147,34 @@ proptest! {
         tasks in 1usize..20,
         holds in 1u64..500,
     ) {
-        let sim = Sim::new();
-        let sem = Semaphore::new(permits);
-        let inside: Rc<Cell<usize>> = Rc::default();
-        let peak: Rc<Cell<usize>> = Rc::default();
-        for i in 0..tasks {
-            let (s, m, inside, peak) = (
-                sim.clone(),
-                sem.clone(),
-                Rc::clone(&inside),
-                Rc::clone(&peak),
-            );
-            sim.spawn(async move {
-                s.sleep(SimDuration::from_nanos(i as u64 % 7)).await;
-                let _p = m.acquire_one().await;
-                inside.set(inside.get() + 1);
-                peak.set(peak.get().max(inside.get()));
-                s.sleep(SimDuration::from_nanos(holds)).await;
-                inside.set(inside.get() - 1);
-            });
+        for sem in both_policies(permits) {
+            let sim = Sim::new();
+            let inside: Rc<Cell<usize>> = Rc::default();
+            let peak: Rc<Cell<usize>> = Rc::default();
+            for i in 0..tasks {
+                let (s, m, inside, peak) = (
+                    sim.clone(),
+                    sem.clone(),
+                    Rc::clone(&inside),
+                    Rc::clone(&peak),
+                );
+                sim.spawn(async move {
+                    s.sleep(SimDuration::from_nanos(i as u64 % 7)).await;
+                    let _p = m.acquire_one(class_of(i, true)).await;
+                    inside.set(inside.get() + 1);
+                    peak.set(peak.get().max(inside.get()));
+                    s.sleep(SimDuration::from_nanos(holds)).await;
+                    inside.set(inside.get() - 1);
+                });
+            }
+            sim.run().expect_quiescent();
+            prop_assert_eq!(inside.get(), 0);
+            prop_assert!(peak.get() <= permits, "peak {} > permits {}", peak.get(), permits);
+            // At least one task was admitted; full saturation depends on
+            // the arrival/hold timing, so only the upper bound is universal.
+            prop_assert!(peak.get() >= 1);
+            prop_assert_eq!(sem.available(), permits);
         }
-        sim.run().expect_quiescent();
-        prop_assert_eq!(inside.get(), 0);
-        prop_assert!(peak.get() <= permits, "peak {} > permits {}", peak.get(), permits);
-        // At least one task was admitted; full saturation depends on the
-        // arrival/hold timing, so only the upper bound is universal.
-        prop_assert!(peak.get() >= 1);
     }
 
     #[test]
@@ -240,18 +218,16 @@ proptest! {
         // must neither leak its queue slot nor swallow the wakeup for the
         // waiter behind it: every live request is eventually granted and
         // every permit comes back, whatever queue position the
-        // cancellations land on. Checked for the plain semaphore and both
-        // priority policies.
-        let sems = [
-            AnySem::Plain(Semaphore::new(permits)),
-            AnySem::Prio(PrioritySemaphore::fifo(permits)),
-            AnySem::Prio(PrioritySemaphore::new(
-                permits,
-                AdmissionPolicy::WriterPriority { aging: 2 },
-            )),
+        // cancellations land on. Checked for FIFO admission with one lane
+        // and with both, and for writer-priority admission.
+        let [fifo, wp] = both_policies(permits);
+        let runs = [
+            (PrioritySemaphore::fifo(permits), false),
+            (fifo, true),
+            (wp, true),
         ];
-        for sem in sems {
-            let (granted, avail) = run_cancel_scenario(sem, permits, &plans);
+        for (sem, mixed) in runs {
+            let (granted, avail) = run_cancel_scenario(sem, mixed, permits, &plans);
             prop_assert_eq!(avail, permits, "permits leaked or double-released");
             for (i, p) in plans.iter().enumerate() {
                 if !p.cancel {
@@ -266,17 +242,34 @@ proptest! {
     }
 
     #[test]
-    fn priority_fifo_grant_log_matches_plain_semaphore(
+    fn fifo_grant_log_ignores_admission_lanes(
         permits in 1usize..4,
         plans in proptest::collection::vec(cancel_plan(5), 2..14),
     ) {
         // The (class, seq) tie-break under AdmissionPolicy::Fifo reduces
         // to global arrival order: grant logs — tasks and instants — are
-        // identical to the plain FIFO semaphore, cancellations included.
-        let (a, _) = run_cancel_scenario(AnySem::Plain(Semaphore::new(permits)), permits, &plans);
-        let (b, _) =
-            run_cancel_scenario(AnySem::Prio(PrioritySemaphore::fifo(permits)), permits, &plans);
-        prop_assert_eq!(a, b);
+        // the same whether waiters mix both lanes or all queue normal,
+        // cancellations included.
+        let (mixed, _) =
+            run_cancel_scenario(PrioritySemaphore::fifo(permits), true, permits, &plans);
+        let (normal, _) =
+            run_cancel_scenario(PrioritySemaphore::fifo(permits), false, permits, &plans);
+        prop_assert_eq!(mixed, normal);
+    }
+
+    #[test]
+    fn fifo_grants_in_arrival_order(
+        permits in 1usize..4,
+        plans in proptest::collection::vec(cancel_plan(5), 2..14),
+    ) {
+        // No barging: whatever the request sizes and however many queued
+        // waiters cancel, FIFO admission grants the surviving tasks in
+        // increasing arrival index.
+        let (granted, _) =
+            run_cancel_scenario(PrioritySemaphore::fifo(permits), true, permits, &plans);
+        for w in granted.windows(2) {
+            prop_assert!(w[0].0 < w[1].0, "task {} granted before task {}", w[1].0, w[0].0);
+        }
     }
 
     #[test]

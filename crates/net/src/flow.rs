@@ -1062,10 +1062,8 @@ mod tests {
                 // Sequential transfers reuse slot 0 with bumped generations.
                 for _ in 0..3 {
                     let rx = net.transfer(&[l], 1 << 20, FlowCap::unlimited());
-                    let inner = net.inner.borrow_mut();
-                    ids.borrow_mut()
-                        .push(FlowId::new(0, inner.slots[0].generation));
-                    drop(inner);
+                    let generation = net.inner.borrow().slots[0].generation;
+                    ids.borrow_mut().push(FlowId::new(0, generation));
                     rx.await;
                 }
             });

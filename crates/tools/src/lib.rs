@@ -322,6 +322,15 @@ pub fn cmd_synth_trace(
     }
     let field_bytes = bytes_of("--mib", field_mib, MIB)?;
     let interval = interval_of(interval_ms)?;
+    // The last reads land one interval after the last step.
+    interval
+        .as_nanos()
+        .checked_mul(steps as u64 + 1)
+        .ok_or_else(|| {
+            bad_args(format!(
+                "--interval-ms {interval_ms}: (steps + 1) × interval overflows 64-bit simulated nanoseconds"
+            ))
+        })?;
     // The trace's total write volume must fit a byte count as well.
     let writes = procs as u64 * steps as u64;
     writes
@@ -1225,6 +1234,15 @@ mod tests {
             cmd_synth_trace(&a.0, 4, 2, 3, 1, INTERVAL_MS_OVERFLOW),
             "--interval-ms",
         );
+        // One interval fits in nanoseconds, but the 2-step trace's reads
+        // end at 3 intervals, which does not.
+        let interval_ms = u64::MAX / 1_000_000 / 2;
+        assert_names_flag(
+            cmd_synth_trace(&a.0, 4, 2, 3, 1, interval_ms),
+            "--interval-ms",
+        );
+        // 2 intervals still fit with a 1-step trace.
+        assert!(cmd_synth_trace(&a.0, 1, 1, 3, 1, interval_ms).is_ok());
     }
 
     #[test]
