@@ -25,7 +25,9 @@
 //!    shortest failing prefix and reports a ready-to-paste repro. The
 //!    roster also carries one writer-priority *admission* slot (on the
 //!    FIFO schedule): QoS barging at the service queues reorders grants
-//!    but must never change an outcome.
+//!    but must never change an outcome. Every program runs the roster
+//!    twice: on the plain deployment, and on a two-tier one with the
+//!    aggregation service live ([`run_program_tiered`]).
 //!
 //! `daosctl fuzz --seeds N --policy all` and the `sched-fuzz` experiment
 //! drive [`fuzz_corpus`] over the fixed corpus `0..N`.
@@ -402,22 +404,27 @@ pub fn run_program_with(program: &FuzzProgram, entry: RosterEntry) -> Observatio
     let mut spec = ClusterSpec::tcp(1, 1);
     spec.retry = fuzz_retry_policy();
     spec.admission = entry.admission;
-    run_program_on(program, entry, spec, None)
+    run_program_on(program, entry, spec, None).0
 }
 
 /// [`run_program_with`] on a two-tier deployment: a deliberately small
 /// SCM write buffer in front of NVMe, with the background aggregation
-/// service running through the whole actor phase. Exercises the tier
+/// daemons live. Exercises the tier
 /// byte-conservation invariant and schedule invariance under migration
 /// contention.
 pub fn run_program_tiered(program: &FuzzProgram, entry: RosterEntry) -> Observation {
+    run_tiered(program, entry).0
+}
+
+/// [`run_program_tiered`], also returning the deployment it ran on.
+fn run_tiered(program: &FuzzProgram, entry: RosterEntry) -> (Observation, Rc<Deployment>) {
     let mut spec = ClusterSpec::tcp(1, 1);
     spec.retry = fuzz_retry_policy();
     spec.admission = entry.admission;
-    // 2 MiB of SCM per socket — small enough that the setup phase alone
-    // crosses the aggregation high watermark.
+    // 96 KiB of SCM per socket, 8 KiB per target: the array targets
+    // cross the 6 KiB high watermark after a couple of 4 KiB writes.
     spec.calibration.scm = daosim_media::ScmSpec {
-        capacity: 2 * 1024 * 1024,
+        capacity: 96 * 1024,
         ..daosim_media::ScmSpec::optane_gen1()
     };
     spec.tiering = daosim_media::TierPolicy {
@@ -425,21 +432,22 @@ pub fn run_program_tiered(program: &FuzzProgram, entry: RosterEntry) -> Observat
         scm_threshold: 64 * 1024,
         ..daosim_media::TierPolicy::tiered()
     };
-    let agg = crate::tiering::AggregationConfig::operational(SimDuration::from_secs(2), 0x716E);
-    run_program_on(program, entry, spec, Some(agg))
+    run_program_on(program, entry, spec, Some(0x716E))
 }
 
+/// Runs `program` on `spec`, with the aggregation service staggered by
+/// `aggregation_seed` when one is given.
 fn run_program_on(
     program: &FuzzProgram,
     entry: RosterEntry,
     spec: ClusterSpec,
-    aggregation: Option<crate::tiering::AggregationConfig>,
-) -> Observation {
+    aggregation_seed: Option<u64>,
+) -> (Observation, Rc<Deployment>) {
     let sim = Sim::with_policy(entry.sched);
     let d = Deployment::new(&sim, spec);
     program.faults.apply(&d);
-    if let Some(cfg) = aggregation {
-        crate::tiering::spawn_aggregation(&d, cfg);
+    if let Some(seed) = aggregation_seed {
+        crate::tiering::spawn_aggregation(&d, seed);
     }
 
     let shared = Rc::new(Shared {
@@ -558,13 +566,14 @@ fn run_program_on(
     let state = shared.state.borrow().clone();
     let bytes_read = *shared.bytes_read.borrow();
     let media_conserved = (0..d.spec.pool_targets()).all(|t| d.target(t).media.conservation_ok());
-    Observation {
+    let observation = Observation {
         outcomes,
         state,
         bytes_read,
         quiescent: phase1.stranded_tasks == 0 && phase2.stranded_tasks == 0,
         media_conserved,
-    }
+    };
+    (observation, d)
 }
 
 /// One confirmed schedule-invariance violation, with the shrunk repro.
@@ -645,8 +654,22 @@ pub fn roster(seed: u64) -> Vec<RosterEntry> {
     entries
 }
 
-fn run_caught(program: &FuzzProgram, entry: RosterEntry) -> Result<Observation, String> {
-    catch_unwind(AssertUnwindSafe(|| run_program_with(program, entry))).map_err(|p| {
+/// How a program is run on one deployment.
+type Runner = fn(&FuzzProgram, RosterEntry) -> Observation;
+
+/// The deployments every program runs on, with the label a divergence
+/// on each carries.
+const DEPLOYMENTS: [(&str, Runner); 2] = [
+    ("", run_program_with),
+    ("tiered media: ", run_program_tiered),
+];
+
+fn run_caught(
+    run: Runner,
+    program: &FuzzProgram,
+    entry: RosterEntry,
+) -> Result<Observation, String> {
+    catch_unwind(AssertUnwindSafe(|| run(program, entry))).map_err(|p| {
         let msg = p
             .downcast_ref::<String>()
             .cloned()
@@ -730,23 +753,25 @@ fn check_invariants(program: &FuzzProgram, obs: &Observation) -> Option<String> 
 /// Runs `program` under every roster entry and returns the first
 /// divergence.
 fn divergence(program: &FuzzProgram, entries: &[RosterEntry]) -> Option<(RosterEntry, String)> {
-    let reference = match run_caught(program, entries[0]) {
-        Ok(o) => o,
-        Err(e) => return Some((entries[0], e)),
-    };
-    if let Some(d) = check_invariants(program, &reference) {
-        return Some((entries[0], d));
-    }
-    for &entry in &entries[1..] {
-        let got = match run_caught(program, entry) {
+    for (label, run) in DEPLOYMENTS {
+        let fail = |entry, detail: String| Some((entry, format!("{label}{detail}")));
+        let reference = match run_caught(run, program, entries[0]) {
             Ok(o) => o,
-            Err(e) => return Some((entry, e)),
+            Err(e) => return fail(entries[0], e),
         };
-        if let Some(d) = check_invariants(program, &got) {
-            return Some((entry, d));
+        if let Some(d) = check_invariants(program, &reference) {
+            return fail(entries[0], d);
         }
-        if let Some(d) = first_diff(&reference, &got) {
-            return Some((entry, d));
+        for &entry in &entries[1..] {
+            let got = match run_caught(run, program, entry) {
+                Ok(o) => o,
+                Err(e) => return fail(entry, e),
+            };
+            if let Some(d) =
+                check_invariants(program, &got).or_else(|| first_diff(&reference, &got))
+            {
+                return fail(entry, d);
+            }
         }
     }
     None
@@ -868,7 +893,7 @@ mod tests {
 
     #[test]
     fn tiered_runs_conserve_bytes_and_replay_identically() {
-        // The two-tier deployment runs the same corpus with a 2 MiB SCM
+        // The two-tier deployment runs the same corpus with a small SCM
         // buffer and live aggregation: every target's occupancy must
         // balance (foreground ± migrated = tier deltas), migration must
         // actually happen, and the observation must replay bit-identical.
@@ -878,7 +903,11 @@ mod tests {
                 sched: SchedPolicy::Fifo,
                 admission: AdmissionPolicy::Fifo,
             };
-            let a = run_program_tiered(&program, entry);
+            let (a, d) = run_tiered(&program, entry);
+            let migrated: u64 = (0..d.spec.pool_targets())
+                .map(|t| d.target(t).media.aggregated_bytes())
+                .sum();
+            assert!(migrated > 0, "seed {seed}: nothing migrated");
             assert!(a.quiescent, "seed {seed}: tiered run stranded tasks");
             assert!(a.media_conserved, "seed {seed}: tier bytes diverged");
             assert!(

@@ -22,7 +22,7 @@ pub mod tiering;
 pub use calibration::Calibration;
 pub use client::{ClientMetrics, ClientOp, QosClass, SimClient, SimCont};
 pub use deploy::{BacklogGauge, ClusterSpec, ClusterSpecError, Deployment, Engine, Target};
-pub use tiering::{spawn_aggregation, AggregationConfig};
+pub use tiering::spawn_aggregation;
 // Media tier types travel with the spec that carries them.
 pub use daosim_media::{
     MediaConfigError, MediaFull, NvmeSpec, ScmSpec, Tier, TierCounts, TierPolicy, TieredMedia,

@@ -16,82 +16,80 @@
 //! with foreground I/O for exactly the resources it would steal on real
 //! hardware.
 //!
-//! The tasks are horizon-bounded: they stop ticking at `cfg.horizon` of
-//! simulated time, so `run()` still quiesces. Per-target start phases
-//! are staggered by a `splitmix64` stream off `cfg.seed`, which keeps
-//! the schedule seed-deterministic while avoiding a thundering herd of
-//! simultaneous migrations.
+//! Each task is a kernel *daemon* ([`daosim_kernel::Sim::spawn_daemon`]).
+//! When a plan comes back empty it parks until its target's SCM needs
+//! aggregation again ([`daosim_media::TieredMedia::aggregation_needed`],
+//! woken by the write that makes the work), so an idle service neither
+//! holds a timer nor counts as stranded, and a run ends when its work
+//! does. Every tick skipped while parked would have planned nothing and
+//! changed nothing; the daemon resumes on the same tick grid, so each
+//! migration keeps the instant and size it would have under polling.
+//! Per-target start phases are staggered by a `splitmix64` stream off
+//! the seed, which keeps the schedule seed-deterministic while avoiding
+//! a thundering herd of simultaneous migrations.
 
 use std::rc::Rc;
 
 use daosim_kernel::rng::splitmix64;
 use daosim_kernel::sync::AdmissionClass;
-use daosim_kernel::{SimDuration, SimTime};
+use daosim_kernel::SimDuration;
 
 use crate::deploy::Deployment;
 
-/// Configuration of the per-target aggregation service.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AggregationConfig {
-    /// Poll interval between migration opportunities.
-    pub interval: SimDuration,
-    /// Upper bound on bytes migrated per tick (one service-queue grant).
-    pub chunk_bytes: u64,
-    /// Simulated time at which the service stops ticking. Runs drive
-    /// this past the workload's end so drains complete, while keeping
-    /// the simulation quiescent-terminating.
-    pub horizon: SimDuration,
-    /// Seed for the per-target phase stagger.
-    pub seed: u64,
+/// Tick interval of the service: a migration opportunity every 2 ms.
+const AGGREGATION_INTERVAL: SimDuration = SimDuration::from_millis(2);
+
+/// Upper bound on bytes migrated per tick (one service-queue grant):
+/// small enough that foreground writers never stall long behind a
+/// migration, large enough to outrun the fill rate of a saturated writer
+/// fleet.
+const AGGREGATION_CHUNK_BYTES: u64 = 256 * 1024;
+
+/// Spawns one aggregation daemon per pool target, with start phases
+/// staggered by `seed`. Call after [`Deployment::new`] and before
+/// `sim.run()`.
+pub fn spawn_aggregation(d: &Rc<Deployment>, seed: u64) {
+    spawn_daemons(d, seed, |_, _| {});
 }
 
-impl AggregationConfig {
-    /// Operational defaults: poll every 2 ms, migrate at most 256 KiB
-    /// per grant (small enough that foreground writers never stall long
-    /// behind a migration, large enough to outrun the fill rate of a
-    /// saturated writer fleet).
-    pub fn operational(horizon: SimDuration, seed: u64) -> Self {
-        AggregationConfig {
-            interval: SimDuration::from_millis(2),
-            chunk_bytes: 256 * 1024,
-            horizon,
-            seed,
-        }
-    }
-}
-
-/// Spawns one aggregation task per pool target. Call after
-/// [`Deployment::new`] and before `sim.run()`; the tasks exit on their
-/// own at `cfg.horizon`.
-pub fn spawn_aggregation(d: &Rc<Deployment>, cfg: AggregationConfig) {
-    let end = SimTime::ZERO + cfg.horizon;
+/// [`spawn_aggregation`], reporting each committed migration to
+/// `on_commit(target, bytes)`.
+fn spawn_daemons(d: &Rc<Deployment>, seed: u64, on_commit: impl Fn(u32, u64) + Clone + 'static) {
+    let interval = AGGREGATION_INTERVAL.as_nanos();
     for t in 0..d.spec.pool_targets() {
-        let d = d.clone();
-        let phase = SimDuration::from_nanos(
-            splitmix64(cfg.seed ^ t as u64) % cfg.interval.as_nanos().max(1),
-        );
-        d.sim.clone().spawn(async move {
-            d.sim.sleep(phase).await;
+        let (d, on_commit) = (d.clone(), on_commit.clone());
+        let phase = splitmix64(seed ^ t as u64) % interval;
+        d.sim.clone().spawn_daemon(async move {
+            let target = d.target(t);
+            // Ticks fall on `anchor + k × interval`, k ≥ 1: `anchor` is
+            // the start phase, then the instant the last tick's plan, or
+            // the migration it planned, finished.
+            let mut anchor = d.sim.now().as_nanos() + phase;
+            let mut idle = true;
             loop {
-                if d.sim.now() >= end {
-                    return;
+                if idle {
+                    target.media.aggregation_needed().await;
                 }
-                d.sim.sleep(cfg.interval).await;
-                let target = d.target(t);
-                let Some(step) = target.media.plan_aggregation(cfg.chunk_bytes) else {
-                    continue;
-                };
-                let q = d.sim.span_leaf("media", "agg-queue");
-                let _p = target.sem.acquire_one(AdmissionClass::Normal).await;
-                q.end();
-                let _s = d.sim.span_leaf("media", "agg-migrate");
-                // The migration pays the SCM read and the NVMe write on
-                // this target's bandwidth shares, back to back, holding
-                // the service queue the whole time.
-                let dur = step.scm_read.saturating_add(step.nvme_write);
-                d.sim.sleep(dur).await;
-                target.charge_busy(dur.as_nanos());
-                target.media.commit_aggregation(step.bytes);
+                let now = d.sim.now().as_nanos();
+                let k = now.saturating_sub(anchor).div_ceil(interval).max(1);
+                let tick = anchor.saturating_add(k.saturating_mul(interval));
+                d.sim.sleep(SimDuration::from_nanos(tick - now)).await;
+                let plan = target.media.plan_aggregation(AGGREGATION_CHUNK_BYTES);
+                idle = plan.is_none();
+                if let Some(step) = plan {
+                    let q = d.sim.span_leaf("media", "agg-queue");
+                    let _p = target.sem.acquire_one(AdmissionClass::Normal).await;
+                    q.end();
+                    let _s = d.sim.span_leaf("media", "agg-migrate");
+                    // The migration pays the SCM read and the NVMe write
+                    // on this target's bandwidth shares, back to back,
+                    // holding the service queue the whole time.
+                    let dur = step.scm_read.saturating_add(step.nvme_write);
+                    d.sim.sleep(dur).await;
+                    target.charge_busy(dur.as_nanos());
+                    on_commit(t, target.media.commit_aggregation(step.bytes));
+                }
+                anchor = d.sim.now().as_nanos();
             }
         });
     }
@@ -101,7 +99,9 @@ pub fn spawn_aggregation(d: &Rc<Deployment>, cfg: AggregationConfig) {
 mod tests {
     use super::*;
     use crate::deploy::ClusterSpec;
+    use daosim_kernel::{Sim, SimTime};
     use daosim_media::{NvmeSpec, ScmSpec, TierPolicy};
+    use std::cell::RefCell;
 
     /// A tiny tiered cluster: 2 targets, 64 KiB of SCM per socket.
     fn tiered_spec() -> ClusterSpec {
@@ -121,15 +121,12 @@ mod tests {
 
     #[test]
     fn aggregation_drains_scm_below_low_watermark() {
-        let sim = daosim_kernel::Sim::new();
+        let sim = Sim::new();
         let d = Deployment::new(&sim, tiered_spec());
         // Fill target 0's SCM past the 75% high mark (48 KiB of 64 KiB).
         d.target(0).media.charge_write(56 * 1024).unwrap();
         assert!(d.target(0).media.needs_aggregation());
-        spawn_aggregation(
-            &d,
-            AggregationConfig::operational(SimDuration::from_secs(1), 7),
-        );
+        spawn_aggregation(&d, 7);
         sim.run().expect_quiescent();
         let m = &d.target(0).media;
         assert!(
@@ -144,14 +141,12 @@ mod tests {
 
     #[test]
     fn aggregation_idles_below_high_watermark() {
-        let sim = daosim_kernel::Sim::new();
+        let sim = Sim::new();
         let d = Deployment::new(&sim, tiered_spec());
         d.target(0).media.charge_write(16 * 1024).unwrap();
-        spawn_aggregation(
-            &d,
-            AggregationConfig::operational(SimDuration::from_millis(50), 7),
-        );
-        sim.run().expect_quiescent();
+        spawn_aggregation(&d, 7);
+        // An idle service holds no timer: the run ends at once.
+        assert_eq!(sim.run().expect_quiescent(), SimTime::ZERO);
         assert_eq!(d.target(0).media.aggregated_bytes(), 0);
         assert_eq!(d.target(0).media.scm_used(), 16 * 1024);
     }
@@ -159,14 +154,11 @@ mod tests {
     #[test]
     fn aggregation_is_seed_deterministic() {
         let run = || {
-            let sim = daosim_kernel::Sim::new();
+            let sim = Sim::new();
             let d = Deployment::new(&sim, tiered_spec());
             d.target(0).media.charge_write(60 * 1024).unwrap();
             d.target(1).media.charge_write(50 * 1024).unwrap();
-            spawn_aggregation(
-                &d,
-                AggregationConfig::operational(SimDuration::from_secs(1), 42),
-            );
+            spawn_aggregation(&d, 42);
             sim.run().expect_quiescent();
             (
                 sim.now(),
@@ -175,5 +167,111 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// `(time ns, target, bytes)` of each committed migration.
+    type MigrationLog = Rc<RefCell<Vec<(u64, u32, u64)>>>;
+
+    /// The reference the daemons must match: a service that wakes every
+    /// tick until `until`, plans, and migrates when the plan has work.
+    fn spawn_polling_oracle(d: &Rc<Deployment>, seed: u64, until: SimTime, log: MigrationLog) {
+        for t in 0..d.spec.pool_targets() {
+            let (d, log) = (d.clone(), Rc::clone(&log));
+            let phase = splitmix64(seed ^ t as u64) % AGGREGATION_INTERVAL.as_nanos();
+            d.sim.clone().spawn(async move {
+                let target = d.target(t);
+                d.sim.sleep(SimDuration::from_nanos(phase)).await;
+                while d.sim.now() < until {
+                    d.sim.sleep(AGGREGATION_INTERVAL).await;
+                    let Some(step) = target.media.plan_aggregation(AGGREGATION_CHUNK_BYTES) else {
+                        continue;
+                    };
+                    let _p = target.sem.acquire_one(AdmissionClass::Normal).await;
+                    let dur = step.scm_read.saturating_add(step.nvme_write);
+                    d.sim.sleep(dur).await;
+                    target.charge_busy(dur.as_nanos());
+                    let moved = target.media.commit_aggregation(step.bytes);
+                    log.borrow_mut().push((d.sim.now().as_nanos(), t, moved));
+                }
+            });
+        }
+    }
+
+    /// Bursts of SCM writes on both targets over 60 ms, with quiet gaps
+    /// long enough for each drain to finish and the service to park.
+    /// Some bursts start exactly on a target's first tick grid.
+    fn scripted_charges(seed: u64) -> Vec<(u64, u32, u64)> {
+        let interval = AGGREGATION_INTERVAL.as_nanos();
+        let mut h = seed;
+        let mut next = || {
+            h = splitmix64(h);
+            h
+        };
+        let mut charges = Vec::new();
+        for burst in 0..12u64 {
+            let t = (burst % 2) as u32;
+            let start = burst * 5_000_000 + next() % 3_000_000;
+            let start = if burst % 3 == 0 {
+                let phase = splitmix64(seed ^ t as u64) % interval;
+                start - start % interval + phase
+            } else {
+                start
+            };
+            for i in 0..2 + next() % 6 {
+                charges.push((start + i * 1_500, t, 4 * 1024 + next() % (12 * 1024)));
+            }
+        }
+        charges
+    }
+
+    #[test]
+    fn parked_daemons_migrate_exactly_as_polling_did() {
+        for seed in [3u64, 17, 99] {
+            let run = |daemon: bool| {
+                let sim = Sim::new();
+                let d = Deployment::new(&sim, tiered_spec());
+                for (at, t, bytes) in scripted_charges(seed) {
+                    let d = Rc::clone(&d);
+                    sim.schedule_at(SimTime::from_nanos(at), move || {
+                        let _ = d.target(t).media.charge_write(bytes);
+                    });
+                }
+                let log: MigrationLog = Rc::default();
+                if daemon {
+                    let (log, sim) = (Rc::clone(&log), sim.clone());
+                    spawn_daemons(&d, seed, move |t, bytes| {
+                        log.borrow_mut().push((sim.now().as_nanos(), t, bytes))
+                    });
+                } else {
+                    spawn_polling_oracle(
+                        &d,
+                        seed,
+                        SimTime::from_nanos(200_000_000),
+                        Rc::clone(&log),
+                    );
+                }
+                let end = sim.run().expect_quiescent();
+                let counts = (
+                    d.target(0).media.tier_counts(),
+                    d.target(1).media.tier_counts(),
+                );
+                (log.take(), counts, end)
+            };
+            let (daemon_log, daemon_counts, daemon_end) = run(true);
+            let (oracle_log, oracle_counts, oracle_end) = run(false);
+            for t in 0..2 {
+                // Several drains per target: each one parks and resumes.
+                let drains = daemon_log.iter().filter(|m| m.1 == t).count();
+                assert!(drains >= 3, "seed {seed}: {daemon_log:?}");
+            }
+            assert_eq!(daemon_log, oracle_log, "seed {seed}");
+            assert_eq!(daemon_counts, oracle_counts, "seed {seed}");
+            // The daemons stop with the work: one idle tick after the
+            // last migration, or at the last write. The oracle polled on.
+            let last_charge = scripted_charges(seed).iter().map(|c| c.0).max().unwrap();
+            let last_tick = daemon_log.iter().map(|m| m.0).max().unwrap() + 2_000_000;
+            assert_eq!(daemon_end.as_nanos(), last_tick.max(last_charge));
+            assert!(oracle_end >= SimTime::from_nanos(200_000_000));
+        }
     }
 }

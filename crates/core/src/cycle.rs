@@ -24,9 +24,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use daosim_cluster::{
-    spawn_aggregation, AggregationConfig, ClusterSpec, Deployment, FaultPlan, QosClass, SimClient,
-};
+use daosim_cluster::{spawn_aggregation, ClusterSpec, Deployment, FaultPlan, QosClass, SimClient};
 use daosim_kernel::rng::splitmix64;
 use daosim_kernel::{AdmissionPolicy, CounterHandle, MetricsRegistry, Sim, SimDuration};
 
@@ -81,13 +79,12 @@ pub struct CycleConfig {
     pub read_window: u32,
     /// Fields each reader fetches per step boundary.
     pub reads_per_step: u32,
-    /// Service-queue admission policy the deployment enforces for this
-    /// cycle (FIFO, or writer-priority QoS barging).
-    pub admission: AdmissionPolicy,
-    /// Background SCM→NVMe aggregation service, if the deployment's
-    /// media is tiered. `None` leaves migration off even on tiered
-    /// media (the capacity tier only fills by write-buffer spill).
-    pub aggregation: Option<AggregationConfig>,
+    /// Runs the background SCM→NVMe aggregation service, with its
+    /// per-target start phases staggered by this seed (meaningful only
+    /// when the deployment's media is tiered). `None` leaves migration
+    /// off even on tiered media (the capacity tier only fills by
+    /// write-buffer spill).
+    pub aggregation: Option<u64>,
     pub seed: u64,
 }
 
@@ -133,21 +130,8 @@ impl CycleConfig {
             write_window: 4,
             read_window: 4,
             reads_per_step: 3,
-            admission: AdmissionPolicy::Fifo,
             aggregation: None,
             seed: 7,
-        }
-    }
-
-    /// Starts a validating builder at the [`CycleConfig::small`] shape
-    /// under `layout`. Unlike mutating the public fields directly,
-    /// [`CycleConfigBuilder::build`] runs [`CycleConfig::validate`], so
-    /// a zero shape is a typed error at construction instead of a
-    /// divide-by-zero (or a forever-stalled pipeline window) deep inside
-    /// the cycle.
-    pub fn builder(layout: IndexLayout) -> CycleConfigBuilder {
-        CycleConfigBuilder {
-            cfg: CycleConfig::small(layout),
         }
     }
 
@@ -179,95 +163,6 @@ impl CycleConfig {
                 "(steps + 1) × step_interval",
             ))?;
         Ok(())
-    }
-}
-
-/// Validating builder for [`CycleConfig`], in the same style as
-/// `FieldIoConfig::builder()`: starts at the `small` preset, one setter
-/// per knob, and `build()` returns `Result` so the validate step can't
-/// be skipped.
-#[derive(Clone, Copy, Debug)]
-pub struct CycleConfigBuilder {
-    cfg: CycleConfig,
-}
-
-impl CycleConfigBuilder {
-    pub fn writers(mut self, n: u32) -> Self {
-        self.cfg.writers = n;
-        self
-    }
-
-    pub fn readers(mut self, n: u32) -> Self {
-        self.cfg.readers = n;
-        self
-    }
-
-    pub fn steps(mut self, n: u32) -> Self {
-        self.cfg.steps = n;
-        self
-    }
-
-    pub fn fields_per_step(mut self, n: u32) -> Self {
-        self.cfg.fields_per_step = n;
-        self
-    }
-
-    pub fn field_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.field_bytes = bytes;
-        self
-    }
-
-    /// Wall-clock between steps — also each step's deadline budget.
-    pub fn step_interval(mut self, interval: SimDuration) -> Self {
-        self.cfg.step_interval = interval;
-        self
-    }
-
-    pub fn layout(mut self, layout: IndexLayout) -> Self {
-        self.cfg.layout = layout;
-        self
-    }
-
-    /// Writer pipeline window (W of `pipelined_writer`).
-    pub fn write_window(mut self, w: u32) -> Self {
-        self.cfg.write_window = w;
-        self
-    }
-
-    /// Reader pipeline window for `read_fields_pipelined`.
-    pub fn read_window(mut self, w: u32) -> Self {
-        self.cfg.read_window = w;
-        self
-    }
-
-    pub fn reads_per_step(mut self, n: u32) -> Self {
-        self.cfg.reads_per_step = n;
-        self
-    }
-
-    /// Service-queue admission policy the deployment enforces.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.cfg.admission = policy;
-        self
-    }
-
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Enables the background SCM→NVMe aggregation service for the run
-    /// (meaningful only when the spec's media is tiered).
-    pub fn aggregation(mut self, cfg: Option<AggregationConfig>) -> Self {
-        self.cfg.aggregation = cfg;
-        self
-    }
-
-    /// Validates the shape and returns the config, or the first violated
-    /// invariant as a [`CycleConfigError`].
-    pub fn build(self) -> Result<CycleConfig, CycleConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -359,8 +254,9 @@ pub fn cycle_payload(cfg: &CycleConfig, writer: u32, step: u32, field: u32) -> B
 #[derive(Clone, Debug)]
 pub struct CycleOutcome {
     pub layout: IndexLayout,
-    /// Admission policy the cycle ran under (copied from the config so
-    /// rows from a layout x admission sweep stay self-describing).
+    /// Admission policy the cycle ran under (copied from the cluster
+    /// spec so rows from a layout x admission sweep stay
+    /// self-describing).
     pub admission: AdmissionPolicy,
     pub end_secs: f64,
     /// Writer submit→complete latencies (experiment-exact, from paired
@@ -417,19 +313,18 @@ fn reader_pick(cfg: &CycleConfig, r: u32, s: u32, i: u32) -> (u32, u32) {
 }
 
 fn run_cycle_inner(
-    mut spec: ClusterSpec,
+    spec: ClusterSpec,
     cfg: &CycleConfig,
     faults: Option<&FaultPlan>,
 ) -> Result<(Sim, Rc<Deployment>, CycleOutcome), CycleConfigError> {
     cfg.validate()?;
-    spec.admission = cfg.admission;
     let sim = Sim::new();
     let d = Deployment::new(&sim, spec);
     if let Some(plan) = faults {
         plan.apply(&d);
     }
-    if let Some(agg) = cfg.aggregation {
-        spawn_aggregation(&d, agg);
+    if let Some(seed) = cfg.aggregation {
+        spawn_aggregation(&d, seed);
     }
     let procs = cfg.writers + cfg.readers;
     let ppn = procs.div_ceil(spec.client_nodes as u32);
@@ -616,7 +511,7 @@ fn run_cycle_inner(
     }
     let outcome = CycleOutcome {
         layout: cfg.layout,
-        admission: cfg.admission,
+        admission: spec.admission,
         end_secs: end.as_secs_f64(),
         writer_lat: latency_stats(&wrec.take()),
         reader_lat: latency_stats(&rrec.take()),
@@ -752,23 +647,20 @@ mod tests {
     fn builder_rejects_a_cycle_span_past_simulated_time() {
         // 2 steps of u64::MAX / 3 ns fit; the sampler's third interval
         // does not.
-        let interval = SimDuration::from_nanos(u64::MAX / 3 + 1);
-        let err = CycleConfig::builder(IndexLayout::Shared)
-            .steps(2)
-            .step_interval(interval)
-            .build()
-            .unwrap_err();
+        let cfg = |interval_ns| CycleConfig {
+            steps: 2,
+            step_interval: SimDuration::from_nanos(interval_ns),
+            ..CycleConfig::small(IndexLayout::Shared)
+        };
+        let err = cfg(u64::MAX / 3 + 1).validate().unwrap_err();
         assert!(matches!(err, CycleConfigError::TimeOverflow(_)), "{err:?}");
         assert!(err.to_string().contains("step_interval"), "{err}");
-        let mut cfg = CycleConfig::small(IndexLayout::Shared);
-        cfg.step_interval = interval;
-        assert_eq!(run_nwp_cycle(spec(), &cfg, None).unwrap_err(), err);
+        assert_eq!(
+            run_nwp_cycle(spec(), &cfg(u64::MAX / 3 + 1), None).unwrap_err(),
+            err
+        );
         // One interval less fits.
-        CycleConfig::builder(IndexLayout::Shared)
-            .steps(2)
-            .step_interval(SimDuration::from_nanos(u64::MAX / 3))
-            .build()
-            .unwrap();
+        cfg(u64::MAX / 3).validate().unwrap();
     }
 
     #[test]
@@ -776,9 +668,13 @@ mod tests {
         // QoS barging must not lose a single op: every (writer, step) is
         // adjudicated and every read resolves — readers degrade, they
         // are never starved out of completion.
-        let mut cfg = CycleConfig::small(IndexLayout::Shared);
-        cfg.admission = AdmissionPolicy::writer_priority();
-        let out = run_nwp_cycle(spec(), &cfg, None).unwrap();
+        let cfg = CycleConfig::small(IndexLayout::Shared);
+        let spec = ClusterSpec {
+            admission: AdmissionPolicy::writer_priority(),
+            ..spec()
+        };
+        let out = run_nwp_cycle(spec, &cfg, None).unwrap();
+        assert_eq!(out.admission, AdmissionPolicy::writer_priority());
         assert_eq!(
             out.deadlines_met + out.deadlines_missed,
             (cfg.writers * cfg.steps) as u64

@@ -38,7 +38,6 @@ use std::pin::Pin;
 use bytes::{BufMut, Bytes, BytesMut};
 
 use daosim_kernel::sync::join_all;
-use daosim_kernel::AdmissionPolicy;
 use daosim_objstore::prelude::{
     DaosApi, DaosError, Event, EventQueue, ObjectClass, Oid, OidAllocator, OpOutput, Uuid,
 };
@@ -91,9 +90,6 @@ pub struct FieldIoConfig {
     /// How many field writes the pipelined paths keep in flight (W). 1
     /// means strictly sequential — the paper's blocking Algorithm 1.
     pub inflight_window: u32,
-    /// Service-queue admission policy to force on the deployment in the
-    /// replay/run paths; `None` inherits the cluster spec's policy.
-    pub admission: Option<AdmissionPolicy>,
 }
 
 impl Default for FieldIoConfig {
@@ -104,7 +100,6 @@ impl Default for FieldIoConfig {
             array_class: ObjectClass::S1,
             schema: KeySchema::ecmwf(),
             inflight_window: 1,
-            admission: None,
         }
     }
 }
@@ -149,13 +144,6 @@ impl FieldIoConfigBuilder {
     /// Sets the pipelined in-flight window W (clamped to at least 1).
     pub fn window(mut self, window: u32) -> Self {
         self.cfg.inflight_window = window.max(1);
-        self
-    }
-
-    /// Forces a service-queue admission policy on the deployment the
-    /// replay/run paths build (overrides the cluster spec's policy).
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.cfg.admission = Some(policy);
         self
     }
 

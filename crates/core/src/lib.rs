@@ -35,8 +35,8 @@ pub mod trace;
 pub mod workload;
 
 pub use cycle::{
-    cycle_contents, run_nwp_cycle, CycleConfig, CycleConfigBuilder, CycleConfigError, CycleOutcome,
-    DeadlineLedger, IndexLayout,
+    cycle_contents, run_nwp_cycle, CycleConfig, CycleConfigError, CycleOutcome, DeadlineLedger,
+    IndexLayout,
 };
 pub use fieldio::{FieldIoConfig, FieldIoError, FieldIoMode, FieldResult, FieldStore};
 pub use key::{FieldKey, KeyPart, KeySchema};

@@ -276,7 +276,10 @@ pub fn latency_stats(events: &[EventRecord]) -> Option<LatencyStats> {
         let rank = (p * lats_ns.len() as f64).ceil() as usize;
         lats_ns[rank.clamp(1, lats_ns.len()) - 1] as f64 / 1_000.0
     };
-    let mean = lats_ns.iter().sum::<u64>() as f64 / lats_ns.len() as f64 / 1_000.0;
+    // Summed in u128: a handful of latencies near the top of simulated
+    // time would overflow u64.
+    let sum: u128 = lats_ns.iter().map(|&ns| ns as u128).sum();
+    let mean = sum as f64 / lats_ns.len() as f64 / 1_000.0;
     Some(LatencyStats {
         count: lats_ns.len(),
         incomplete,
@@ -570,6 +573,20 @@ mod tests {
         assert!((s.p50_us - 5_000.0).abs() < 1001.0);
         assert!((s.max_us - 10_000.0).abs() < 1e-9);
         assert!(s.p95_us <= s.p99_us && s.p99_us <= s.max_us);
+    }
+
+    #[test]
+    fn latency_stats_mean_cannot_overflow() {
+        // Two latencies of 2^63 ns sum past u64::MAX.
+        let big = 1u64 << 63;
+        let events = vec![
+            ev(0, 0, EventKind::IoStart, 0, 0),
+            ev(0, 0, EventKind::IoEnd, big, 1),
+            ev(1, 0, EventKind::IoStart, 0, 0),
+            ev(1, 0, EventKind::IoEnd, big, 1),
+        ];
+        let s = latency_stats(&events).unwrap();
+        assert_eq!(s.mean_us, big as f64 / 1_000.0);
     }
 
     #[test]

@@ -365,15 +365,12 @@ pub fn replay_traced(
 
 fn replay_on(
     sim: &Sim,
-    mut spec: ClusterSpec,
+    spec: ClusterSpec,
     fieldio: FieldIoConfig,
     trace: &Trace,
     pacing: Pacing,
     faults: Option<&FaultPlan>,
 ) -> (ReplayOutcome, Rc<Deployment>) {
-    if let Some(admission) = fieldio.admission {
-        spec.admission = admission;
-    }
     let d = Deployment::new(sim, spec);
     if let Some(plan) = faults {
         plan.apply(&d);

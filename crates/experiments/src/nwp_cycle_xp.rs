@@ -36,7 +36,7 @@ fn spec(faults: bool) -> ClusterSpec {
     spec
 }
 
-/// Cycle shape at `scale` (shared index, FIFO admission). Both shapes
+/// Cycle shape at `scale`, on the shared index. Both shapes
 /// are *reader-saturated*: the writer fleet alone fits comfortably
 /// inside the step interval, but the much larger reader fleet waking at
 /// every step boundary floods the service queues — so under FIFO
@@ -45,28 +45,30 @@ fn spec(faults: bool) -> ClusterSpec {
 /// writer tail. The full shape doubles the fleet and adds a step so the
 /// separation is unmistakable. `tiering` runs the same shape.
 pub(crate) fn cycle_shape(scale: &Scale) -> CycleConfig {
-    let mut b = CycleConfig::builder(IndexLayout::Shared)
-        .writers(6)
-        .readers(32)
-        .steps(3)
-        .fields_per_step(3)
-        .field_bytes(512 * 1024)
-        .step_interval(SimDuration::from_millis(16))
-        .write_window(4)
-        .read_window(8)
-        .reads_per_step(8);
-    if scale.ops_per_proc >= 30 {
-        b = b
-            .writers(8)
-            .readers(48)
-            .steps(4)
-            .fields_per_step(4)
-            .step_interval(SimDuration::from_millis(25))
-            .write_window(8);
+    let quick = CycleConfig {
+        writers: 6,
+        readers: 32,
+        steps: 3,
+        fields_per_step: 3,
+        field_bytes: 512 * 1024,
+        step_interval: SimDuration::from_millis(16),
+        write_window: 4,
+        read_window: 8,
+        reads_per_step: 8,
+        ..CycleConfig::small(IndexLayout::Shared)
+    };
+    if scale.ops_per_proc < 30 {
+        return quick;
     }
-    b.admission(AdmissionPolicy::Fifo)
-        .build()
-        .expect("experiment cycle shape is statically nonzero")
+    CycleConfig {
+        writers: 8,
+        readers: 48,
+        steps: 4,
+        fields_per_step: 4,
+        step_interval: SimDuration::from_millis(25),
+        write_window: 8,
+        ..quick
+    }
 }
 
 /// The optional contention + failure axis: a seeded random campaign over
@@ -87,6 +89,7 @@ pub struct CycleRow {
 
 /// The nwp-cycle grid: `base` at every layout × admission × faults
 /// point, layout-major and faults-minor, one simulated world per point.
+/// Each point's admission policy goes on its cluster spec.
 /// Faulted points add the operational retry policy and a random
 /// engine-fault campaign seeded by `fault_seed` over the first half of
 /// the cycle, so the cycle degrades instead of failing.
@@ -101,17 +104,16 @@ pub fn cycle_grid(
     for &layout in layouts {
         for &admission in admissions {
             for &f in faults {
-                let cfg = CycleConfig {
-                    layout,
-                    admission,
-                    ..*base
-                };
-                points.push((cfg, f));
+                let cfg = CycleConfig { layout, ..*base };
+                points.push((cfg, admission, f));
             }
         }
     }
-    parallel_map(points, |&(cfg, faults)| {
-        let spec = spec(faults);
+    parallel_map(points, |&(cfg, admission, faults)| {
+        let spec = ClusterSpec {
+            admission,
+            ..spec(faults)
+        };
         let plan = faults.then(|| campaign(&cfg, spec.engines(), fault_seed));
         run_nwp_cycle(spec, &cfg, plan.as_ref()).map(|outcome| CycleRow { faults, outcome })
     })

@@ -15,10 +15,9 @@
 //! artifact quantifies. Everything is sim-derived and seed-fixed, so
 //! reruns are byte-identical.
 
-use daosim_cluster::{AggregationConfig, ClusterSpec, NvmeSpec, ScmSpec, TierPolicy};
+use daosim_cluster::{ClusterSpec, NvmeSpec, ScmSpec, TierPolicy};
 use daosim_core::cycle::{run_nwp_cycle, CycleConfig, CycleConfigError, CycleOutcome};
 use daosim_core::workload::MIB;
-use daosim_kernel::SimDuration;
 
 use crate::harness::{p50_p99, parallel_map, JsonObject, Report, Scale};
 use crate::nwp_cycle_xp::cycle_shape;
@@ -87,33 +86,19 @@ impl TieringRow {
 /// shrink the per-socket SCM write buffer to `scm_per_socket` bytes and
 /// add the `NvmeSpec::p4510_gen1()` capacity tier (30%/10% watermarks,
 /// placement threshold `scm_threshold` bytes); scm-only points keep the
-/// paper's NEXTGenIO media. The cycle is backlogged — it finishes steps
-/// well past the nominal `steps × interval` — so the aggregation
-/// horizon runs 4× that span: the service must outlive the congested
-/// tail of the workload, where most writes are actually serviced (and
-/// most SCM fills happen), and still leave the simulation
-/// quiescent-terminating. Aggregation-on rows therefore report
-/// `end_secs` = the horizon when it exceeds the workload's own end; a
-/// horizon past simulated time is a [`CycleConfigError::TimeOverflow`].
+/// paper's NEXTGenIO media. The aggregation service parks whenever its
+/// target has no work, so a run ends when both the workload and the
+/// last drain are done: an idle service adds nothing to `end_secs`.
 pub fn tiering_grid(
     base: &CycleConfig,
     scm_per_socket: u64,
     scm_threshold: u64,
     aggregation_seed: u64,
 ) -> Result<Vec<TieringRow>, CycleConfigError> {
-    let horizon = base
-        .step_interval
-        .as_nanos()
-        .checked_mul((base.steps as u64 + 1) * 4)
-        .map(SimDuration::from_nanos)
-        .ok_or(CycleConfigError::TimeOverflow(
-            "the aggregation horizon 4 × (steps + 1) × step_interval",
-        ))?;
     let points = vec![(false, false), (false, true), (true, false), (true, true)];
     parallel_map(points, |&(tiered, aggregation)| {
         let cfg = CycleConfig {
-            aggregation: aggregation
-                .then(|| AggregationConfig::operational(horizon, aggregation_seed)),
+            aggregation: aggregation.then_some(aggregation_seed),
             ..*base
         };
         let spec = spec(tiered, scm_per_socket, scm_threshold);
@@ -216,7 +201,7 @@ pub fn tiering(scale: &Scale) -> Report {
         .str("experiment", "tiering")
         .str("cluster", "tcp(server_nodes=1, client_nodes=2)")
         .str("layout", cfg.layout.name())
-        .str("admission", cfg.admission.name())
+        .str("admission", scm_only.admission.name())
         .raw("writers", cfg.writers)
         .raw("readers", cfg.readers)
         .raw("steps", cfg.steps)
@@ -270,6 +255,23 @@ mod tests {
             assert_eq!(row[6], "0.00", "scm-only row used NVMe: {row:?}");
             assert_eq!(row[7], "0.00", "scm-only row aggregated: {row:?}");
         }
+    }
+
+    #[test]
+    fn an_inert_service_leaves_the_scm_only_run_untouched() {
+        // Without an NVMe tier the service never has work: it parks at
+        // once, so the run matches the agg-off run to the last field,
+        // `end_secs` included.
+        let rows = tiering_grid(
+            &cycle_shape(&Scale::quick()),
+            TIERED_SCM_PER_SOCKET,
+            TIERED_SCM_THRESHOLD,
+            AGGREGATION_SEED,
+        )
+        .unwrap();
+        let (off, on) = (&rows[0], &rows[1]);
+        assert!(!off.tiered && !on.tiered && !off.aggregation && on.aggregation);
+        assert_eq!(format!("{:?}", off.outcome), format!("{:?}", on.outcome));
     }
 
     #[test]

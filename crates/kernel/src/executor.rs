@@ -20,6 +20,11 @@
 //! historical wake order bit-for-bit; the other policies perturb it
 //! deterministically from a seed so schedule-invariance can be fuzzed
 //! (see DESIGN.md §7).
+//!
+//! A run ends when the calendar drains. A task still pending then is
+//! *stranded* (a deadlock in the model) unless it was spawned with
+//! [`Sim::spawn_daemon`]: a daemon is a service parked until work
+//! arrives, so it neither stretches the run nor counts as stranded.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -161,6 +166,8 @@ struct TaskSlot {
     /// This task's current wake was already deferred once by
     /// `SchedPolicy::WakeDelay` (deferral is never compounded).
     deferred: bool,
+    /// Spawned with [`Sim::spawn_daemon`]: never counted as stranded.
+    daemon: bool,
 }
 
 impl TaskSlot {
@@ -172,6 +179,7 @@ impl TaskSlot {
             wake: None,
             waker: None,
             deferred: false,
+            daemon: false,
         }
     }
 }
@@ -190,6 +198,8 @@ struct Kernel {
     free_slots: Vec<u32>,
     /// Number of spawned-and-not-yet-completed tasks.
     live: usize,
+    /// How many of the `live` tasks are daemons.
+    daemons: usize,
     /// Executor-local ready queue, refilled by draining [`WakeQueue`].
     local_ready: VecDeque<WakeEntry>,
     /// Ready-set discipline; `SchedPolicy::Fifo` unless perturbed.
@@ -223,6 +233,7 @@ pub struct RunOutcome {
     pub end_time: SimTime,
     /// Tasks still pending when the event calendar drained. Non-zero means
     /// a deadlock in the modelled system (e.g. a barrier nobody reaches).
+    /// Daemons ([`Sim::spawn_daemon`]) are never counted.
     pub stranded_tasks: usize,
 }
 
@@ -276,6 +287,7 @@ impl Sim {
                 slab: Vec::new(),
                 free_slots: Vec::new(),
                 live: 0,
+                daemons: 0,
                 local_ready: VecDeque::new(),
                 policy,
                 sched_rng,
@@ -337,6 +349,22 @@ impl Sim {
     /// Spawns a task onto the simulation. The task starts running at the
     /// current simulated time, when the executor next polls.
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) -> TaskId {
+        self.spawn_task(Box::pin(fut), false)
+    }
+
+    /// Spawns a *daemon*: a service task that waits for work instead of
+    /// having an end of its own. It is scheduled exactly like
+    /// [`Sim::spawn`]'s tasks, and a timer it holds keeps the run going
+    /// like any other. The difference is at the end: a daemon still
+    /// pending when the calendar drains — parked on a waker nobody will
+    /// fire — is left out of [`RunOutcome::stranded_tasks`]. A run thus
+    /// ends when the work it serves ends, and a deadlock among ordinary
+    /// tasks is still reported.
+    pub fn spawn_daemon(&self, fut: impl Future<Output = ()> + 'static) -> TaskId {
+        self.spawn_task(Box::pin(fut), true)
+    }
+
+    fn spawn_task(&self, fut: TaskFuture, daemon: bool) -> TaskId {
         let (id, wake) = {
             let mut k = self.kernel.borrow_mut();
             let ordinal = k.next_ordinal;
@@ -358,12 +386,14 @@ impl Sim {
             k.slab[slot as usize] = TaskSlot {
                 gen,
                 ordinal,
-                fut: Some(Box::pin(fut)),
+                fut: Some(fut),
                 wake: Some(Arc::clone(&wake)),
                 waker: Some(Waker::from(Arc::clone(&wake))),
                 deferred: false,
+                daemon,
             };
             k.live += 1;
+            k.daemons += daemon as usize;
             (TaskId { slot, gen, ordinal }, wake)
         };
         if self.obs.is_enabled() {
@@ -471,7 +501,8 @@ impl Sim {
     }
 
     /// Runs the simulation until both the event calendar and the ready
-    /// queue are empty.
+    /// queue are empty. Tasks still pending then, daemons excepted, are
+    /// reported as stranded.
     pub fn run(&self) -> RunOutcome {
         loop {
             // Drain all tasks runnable at the current instant first; only
@@ -527,7 +558,7 @@ impl Sim {
         let k = self.kernel.borrow();
         RunOutcome {
             end_time: k.now,
-            stranded_tasks: k.live,
+            stranded_tasks: k.live - k.daemons,
         }
     }
 
@@ -658,8 +689,10 @@ impl Sim {
                     s.wake = None;
                     s.waker = None;
                     s.deferred = false;
+                    let daemon = std::mem::take(&mut s.daemon);
                     k.free_slots.push(slot);
                     k.live -= 1;
+                    k.daemons -= daemon as usize;
                     if self.obs.is_enabled() {
                         drop(k);
                         self.obs
@@ -837,6 +870,64 @@ mod tests {
         });
         let out = sim.run();
         assert_eq!(out.stranded_tasks, 1);
+    }
+
+    #[test]
+    fn parked_daemon_is_not_stranded() {
+        let sim = Sim::new();
+        sim.spawn_daemon(std::future::pending::<()>());
+        let s = sim.clone();
+        sim.spawn(async move { s.sleep(SimDuration::from_nanos(40)).await });
+        let out = sim.run();
+        assert_eq!(out.stranded_tasks, 0);
+        assert_eq!(out.end_time, SimTime::from_nanos(40));
+        assert_eq!(sim.live_tasks(), 1, "the daemon is still parked");
+    }
+
+    #[test]
+    fn deadlock_beside_a_daemon_is_still_reported() {
+        let sim = Sim::new();
+        sim.spawn_daemon(std::future::pending::<()>());
+        sim.spawn(std::future::pending::<()>());
+        let out = sim.run();
+        assert_eq!(out.stranded_tasks, 1);
+        assert_eq!(out.end_time, SimTime::ZERO);
+    }
+
+    #[test]
+    fn woken_daemon_finishes_its_timers_before_the_run_ends() {
+        // The daemon parks on a waker; a foreground event at t=10 fires
+        // it, and the daemon's 25 ns of work must run to completion
+        // before `run()` returns.
+        let sim = Sim::new();
+        let parked: Rc<RefCell<Option<Waker>>> = Rc::default();
+        let fired: Rc<Cell<bool>> = Rc::default();
+        let done: Rc<Cell<u64>> = Rc::default();
+        {
+            let (s, done) = (sim.clone(), Rc::clone(&done));
+            let (parked, fired) = (Rc::clone(&parked), Rc::clone(&fired));
+            sim.spawn_daemon(async move {
+                std::future::poll_fn(|cx| {
+                    if fired.get() {
+                        return Poll::Ready(());
+                    }
+                    *parked.borrow_mut() = Some(cx.waker().clone());
+                    Poll::Pending
+                })
+                .await;
+                s.sleep(SimDuration::from_nanos(25)).await;
+                done.set(s.now().as_nanos());
+                std::future::pending::<()>().await;
+            });
+        }
+        sim.schedule_at(SimTime::from_nanos(10), move || {
+            fired.set(true);
+            parked.borrow_mut().take().expect("daemon parked").wake();
+        });
+        let out = sim.run();
+        assert_eq!(done.get(), 35);
+        assert_eq!(out.end_time, SimTime::from_nanos(35));
+        assert_eq!(out.stranded_tasks, 0);
     }
 
     #[test]

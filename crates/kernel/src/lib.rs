@@ -5,7 +5,10 @@
 //!
 //! * [`SimTime`]/[`SimDuration`] — integer-nanosecond simulated time,
 //! * [`Sim`] — an event calendar plus a single-threaded async executor, so
-//!   modelled processes are written as plain `async fn`s,
+//!   modelled processes are written as plain `async fn`s; a run ends
+//!   when the calendar drains, and service tasks spawned as *daemons*
+//!   ([`Sim::spawn_daemon`]) may stay parked then without counting as
+//!   stranded,
 //! * [`sync::PrioritySemaphore`] — the one counting semaphore: FIFO by
 //!   default, or writer-priority admission with an aging bound —
 //!   MPI-style [`sync::Barrier`], one-shot completions, channels,

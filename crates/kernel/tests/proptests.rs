@@ -67,16 +67,24 @@ async fn run_one(
     }
 }
 
-/// Runs the cancellation scenario and returns (grant log, permits free at
-/// quiescence). Panics (-> proptest failure) if any task strands, which
-/// is exactly what a swallowed wakeup produces.
+/// The outcome of one cancellation scenario: the grant log, the permits
+/// free at quiescence and the instant the run ended.
+type ScenarioOutcome = (Vec<(usize, u64)>, usize, SimTime);
+
+/// Runs the cancellation scenario. Panics (-> proptest failure) if any
+/// task strands, which is exactly what a swallowed wakeup produces. With
+/// `daemon`, a daemon that parks forever is spawned ahead of the program.
 fn run_cancel_scenario(
     sem: PrioritySemaphore,
     mixed: bool,
     permits: usize,
     plans: &[CancelPlan],
-) -> (Vec<(usize, u64)>, usize) {
+    daemon: bool,
+) -> ScenarioOutcome {
     let sim = Sim::new();
+    if daemon {
+        sim.spawn_daemon(std::future::pending::<()>());
+    }
     let log: Rc<RefCell<Vec<(usize, u64)>>> = Rc::default();
     for (i, &p) in plans.iter().enumerate() {
         let mut p = p;
@@ -86,9 +94,9 @@ fn run_cancel_scenario(
         let (s, m, log) = (sim.clone(), sem.clone(), Rc::clone(&log));
         sim.spawn(run_one(m, s, i, class_of(i, mixed), p, log));
     }
-    sim.run().expect_quiescent();
+    let end = sim.run().expect_quiescent();
     let granted = log.borrow().clone();
-    (granted, sem.available())
+    (granted, sem.available(), end)
 }
 
 /// Both admission policies, freshly built with `permits`.
@@ -227,7 +235,7 @@ proptest! {
             (wp, true),
         ];
         for (sem, mixed) in runs {
-            let (granted, avail) = run_cancel_scenario(sem, mixed, permits, &plans);
+            let (granted, avail, _) = run_cancel_scenario(sem, mixed, permits, &plans, false);
             prop_assert_eq!(avail, permits, "permits leaked or double-released");
             for (i, p) in plans.iter().enumerate() {
                 if !p.cancel {
@@ -250,10 +258,10 @@ proptest! {
         // to global arrival order: grant logs — tasks and instants — are
         // the same whether waiters mix both lanes or all queue normal,
         // cancellations included.
-        let (mixed, _) =
-            run_cancel_scenario(PrioritySemaphore::fifo(permits), true, permits, &plans);
-        let (normal, _) =
-            run_cancel_scenario(PrioritySemaphore::fifo(permits), false, permits, &plans);
+        let (mixed, ..) =
+            run_cancel_scenario(PrioritySemaphore::fifo(permits), true, permits, &plans, false);
+        let (normal, ..) =
+            run_cancel_scenario(PrioritySemaphore::fifo(permits), false, permits, &plans, false);
         prop_assert_eq!(mixed, normal);
     }
 
@@ -265,10 +273,26 @@ proptest! {
         // No barging: whatever the request sizes and however many queued
         // waiters cancel, FIFO admission grants the surviving tasks in
         // increasing arrival index.
-        let (granted, _) =
-            run_cancel_scenario(PrioritySemaphore::fifo(permits), true, permits, &plans);
+        let (granted, ..) =
+            run_cancel_scenario(PrioritySemaphore::fifo(permits), true, permits, &plans, false);
         for w in granted.windows(2) {
             prop_assert!(w[0].0 < w[1].0, "task {} granted before task {}", w[1].0, w[0].0);
+        }
+    }
+
+    #[test]
+    fn a_parked_daemon_changes_nothing(
+        permits in 1usize..4,
+        plans in proptest::collection::vec(cancel_plan(5), 2..14),
+    ) {
+        // A daemon parked for the whole run neither stretches its end nor
+        // counts as stranded, and the program's grants — tasks and
+        // instants — are the same as without it, under both policies.
+        for (with, without) in both_policies(permits).into_iter().zip(both_policies(permits)) {
+            prop_assert_eq!(
+                run_cancel_scenario(with, true, permits, &plans, true),
+                run_cancel_scenario(without, true, permits, &plans, false)
+            );
         }
     }
 

@@ -28,8 +28,10 @@
 //! is exact integer arithmetic: `scm_used = scm_landed − aggregated_out`
 //! and `nvme_used = nvme_landed + aggregated_in`, always.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
+use std::future::Future;
+use std::task::{Poll, Waker};
 
 use daosim_kernel::SimDuration;
 
@@ -360,6 +362,9 @@ pub struct TieredMedia {
     /// Hysteresis latch: true while occupancy is being drained from the
     /// high watermark down to the low one.
     agg_active: Cell<bool>,
+    /// The aggregation service, parked in
+    /// [`TieredMedia::aggregation_needed`] until a write makes work.
+    parked: RefCell<Option<Waker>>,
 }
 
 impl TieredMedia {
@@ -380,6 +385,7 @@ impl TieredMedia {
             aggregated_out: Cell::new(0),
             aggregated_in: Cell::new(0),
             agg_active: Cell::new(false),
+            parked: RefCell::new(None),
         })
     }
 
@@ -479,6 +485,13 @@ impl TieredMedia {
             Tier::Scm => {
                 self.scm_used.set(self.scm_used.get() + scm_need);
                 self.scm_landed.set(self.scm_landed.get() + scm_need);
+                let parked = self
+                    .parked
+                    .borrow_mut()
+                    .take_if(|_| self.needs_aggregation());
+                if let Some(w) = parked {
+                    w.wake();
+                }
                 WriteCharge {
                     tier,
                     charged: scm_need,
@@ -519,15 +532,36 @@ impl TieredMedia {
         }
     }
 
-    /// True once SCM occupancy has crossed the high watermark and has
-    /// not yet drained below the low one.
+    /// True when [`TieredMedia::plan_aggregation`] would return a step
+    /// (for any nonzero chunk): there is an NVMe tier with a free page,
+    /// and SCM occupancy has crossed the high watermark and not yet
+    /// drained below the low one.
     pub fn needs_aggregation(&self) -> bool {
-        let used = self.scm_used.get();
-        if self.agg_active.get() {
-            used > self.low_mark()
+        let mark = if self.agg_active.get() {
+            self.low_mark()
         } else {
-            used > self.high_mark()
-        }
+            self.high_mark()
+        };
+        self.policy.nvme.is_some() && self.scm_used.get() > mark && self.nvme_headroom() > 0
+    }
+
+    /// Resolves once [`TieredMedia::needs_aggregation`] holds. The
+    /// aggregation service parks here between drains, and the SCM write
+    /// that makes work wakes it. One waiter per target.
+    pub fn aggregation_needed(&self) -> impl Future<Output = ()> + '_ {
+        std::future::poll_fn(move |cx| {
+            if self.needs_aggregation() {
+                return Poll::Ready(());
+            }
+            *self.parked.borrow_mut() = Some(cx.waker().clone());
+            Poll::Pending
+        })
+    }
+
+    /// NVMe's free bytes, rounded down to whole pages.
+    fn nvme_headroom(&self) -> u64 {
+        let free = self.nvme_capacity().saturating_sub(self.nvme_used.get());
+        free / NVME_PAGE * NVME_PAGE
     }
 
     fn high_mark(&self) -> u64 {
@@ -560,8 +594,7 @@ impl TieredMedia {
         let want = chunk_bytes.min(used.saturating_sub(self.low_mark()));
         // Cap at NVMe's page-aligned headroom so the page-rounded landing
         // always fits.
-        let headroom = self.nvme_capacity().saturating_sub(self.nvme_used.get());
-        let moved = want.min(headroom / NVME_PAGE * NVME_PAGE);
+        let moved = want.min(self.nvme_headroom());
         if moved == 0 {
             return None;
         }
@@ -913,6 +946,7 @@ mod tests {
         )
         .unwrap();
         m.charge_write(1024).unwrap();
+        assert!(!m.needs_aggregation());
         assert!(m.plan_aggregation(1 << 20).is_none());
     }
 
@@ -925,8 +959,42 @@ mod tests {
         assert_eq!(step.bytes, 4096);
         m.commit_aggregation(step.bytes);
         // NVMe now full: no further migration.
+        assert!(!m.needs_aggregation());
         assert!(m.plan_aggregation(1 << 20).is_none());
         assert!(m.conservation_ok());
+    }
+
+    #[test]
+    fn scm_write_wakes_the_parked_service_once_there_is_work() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        use std::task::{Context, Wake};
+
+        struct Wakes(AtomicUsize);
+        impl Wake for Wakes {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        // 100 KiB SCM slice with a 75 KiB high mark; 16 KiB threshold.
+        let m = small_tiered(100 * 1024, 1 << 20, 16 * 1024);
+        let wakes = Arc::new(Wakes(AtomicUsize::new(0)));
+        let waker = Waker::from(Arc::clone(&wakes));
+        let mut cx = Context::from_waker(&waker);
+        let mut parked = std::pin::pin!(m.aggregation_needed());
+        assert!(parked.as_mut().poll(&mut cx).is_pending());
+        // Below the high mark, and a write that lands on NVMe: no wake.
+        for kib in [16, 16, 16, 16, 6] {
+            m.charge_write(kib * 1024).unwrap();
+        }
+        m.charge_write(64 * 1024).unwrap();
+        assert_eq!(m.scm_used(), 70 * 1024);
+        assert_eq!(wakes.0.load(Ordering::Relaxed), 0);
+        // Crossing the high mark wakes the service exactly once.
+        m.charge_write(8 * 1024).unwrap();
+        m.charge_write(8 * 1024).unwrap();
+        assert_eq!(wakes.0.load(Ordering::Relaxed), 1);
+        assert!(parked.as_mut().poll(&mut cx).is_ready());
     }
 
     #[test]

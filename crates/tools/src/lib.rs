@@ -513,9 +513,9 @@ pub fn cmd_fuzz(seeds: u64, start: u64, policy: &str) -> ToolResult {
 }
 
 /// The cycle shape shared by `nwp-cycle` and `tiering`; a zero or a
-/// cycle longer than simulated time comes back as the builder's typed
-/// error, an overflowing `--kib` or `--interval-ms` as an error naming
-/// the flag.
+/// cycle longer than simulated time comes back as the typed
+/// [`CycleConfig::validate`] error, an overflowing `--kib` or
+/// `--interval-ms` as an error naming the flag.
 fn cycle_base(
     writers: u32,
     readers: u32,
@@ -525,16 +525,18 @@ fn cycle_base(
     interval_ms: u64,
     seed: u64,
 ) -> Result<CycleConfig, ToolError> {
-    CycleConfig::builder(IndexLayout::Shared)
-        .writers(writers)
-        .readers(readers)
-        .steps(steps)
-        .fields_per_step(fields)
-        .field_bytes(bytes_of("--kib", kib, KIB)?)
-        .step_interval(interval_of(interval_ms)?)
-        .seed(seed)
-        .build()
-        .map_err(bad_args)
+    let cfg = CycleConfig {
+        writers,
+        readers,
+        steps,
+        fields_per_step: fields,
+        field_bytes: bytes_of("--kib", kib, KIB)?,
+        step_interval: interval_of(interval_ms)?,
+        seed,
+        ..CycleConfig::small(IndexLayout::Shared)
+    };
+    cfg.validate().map_err(bad_args)?;
+    Ok(cfg)
 }
 
 /// `daosctl nwp-cycle [--writers N] [--readers N] [--steps N] [--fields N]
@@ -1218,13 +1220,10 @@ mod tests {
             cmd_tiering(2, 4, 2, 3, 512, 18446744073709551, 12, 1024, 7),
             "--interval-ms",
         );
-        // The 2-step cycle's 3 intervals fit; the aggregation horizon of
-        // 4 × 3 intervals does not.
+        // The 2-step cycle's 3 intervals fit, and the aggregation
+        // service parks between drains, so this runs at once.
         let interval_ms = u64::MAX / 1_000_000 / 4;
-        assert_names_flag(
-            cmd_tiering(2, 4, 2, 3, 512, interval_ms, 12, 1024, 7),
-            "aggregation horizon",
-        );
+        assert!(cmd_tiering(2, 4, 2, 3, 512, interval_ms, 12, 1024, 7).is_ok());
     }
 
     #[test]
