@@ -392,9 +392,9 @@ impl SimClient {
         let engine = self.engine_for(t)?;
         self.shard_dispatch(engine).await;
         let cal = &self.d.spec.calibration;
-        let route = self.d.write_route(self.ep, engine);
+        let route = self.d.stack_route(self.ep, engine.endpoint);
         let cap = self.d.fabric.flow_cap(self.ep, engine.endpoint);
-        let flow = self.d.fabric.net().transfer(&route, bytes, cap);
+        let flow = self.d.fabric.net().transfer_interned(route, bytes, cap);
         // Tier placement charges occupancy and prices the write at the
         // receiving tier's rates; both tiers full is the permanent
         // out-of-space error (DESIGN.md §14).
@@ -415,9 +415,9 @@ impl SimClient {
         let engine = self.engine_for(t)?;
         self.shard_dispatch(engine).await;
         let cal = &self.d.spec.calibration;
-        let route = self.d.read_route(engine, self.ep);
+        let route = self.d.stack_route(engine.endpoint, self.ep);
         let cap = self.d.fabric.flow_cap(engine.endpoint, self.ep);
-        let flow = self.d.fabric.net().transfer(&route, bytes, cap);
+        let flow = self.d.fabric.net().transfer_interned(route, bytes, cap);
         let media = cal.rpc_cpu_cost + self.d.target(t).media.read_time(bytes);
         self.d.target(t).tally.note_read(bytes);
         self.flow_with_service(flow, t, media).await;

@@ -17,7 +17,7 @@ use std::fmt;
 use daosim_kernel::sync::{AdmissionClass, AdmissionPolicy, PrioritySemaphore};
 use daosim_kernel::Sim;
 use daosim_media::{MediaConfigError, MediaTally, TierPolicy, TieredMedia};
-use daosim_net::{Endpoint, Fabric, FabricSpec, LinkId, ProviderProfile};
+use daosim_net::{Endpoint, Fabric, FabricSpec, LinkId, ProviderProfile, RouteId};
 use daosim_objstore::prelude::{Oid, Uuid};
 use daosim_objstore::store::DEFAULT_POOL_CAPACITY;
 use daosim_objstore::{DaosStore, Pool};
@@ -284,6 +284,8 @@ pub struct Deployment {
     /// The pool metadata service (container create/open), a serial queue
     /// hosted by engine 0.
     pub pool_md: PrioritySemaphore,
+    /// Interned stack routes per `(src, dst)` endpoint pair.
+    stack_routes: RefCell<HashMap<(Endpoint, Endpoint), RouteId>>,
     /// Lazily materialised per-object-region update locks.
     obj_locks: RefCell<HashMap<(Uuid, Oid, u64), PrioritySemaphore>>,
     /// Pool-map overrides installed by rebuild: dead target → survivor.
@@ -382,6 +384,7 @@ impl Deployment {
             store,
             pool,
             pool_md: PrioritySemaphore::new(1, spec.admission),
+            stack_routes: RefCell::new(HashMap::new()),
             obj_locks: RefCell::new(HashMap::new()),
             target_remap: RefCell::new(HashMap::new()),
             resilience: ResilienceStats::new(sim.obs().metrics()),
@@ -421,21 +424,32 @@ impl Deployment {
         &self.client_sockets[node][ep.socket as usize]
     }
 
-    /// Route for client → engine bulk data (writes), including software
-    /// stack links on both ends.
-    pub fn write_route(&self, client: Endpoint, engine: &Engine) -> Vec<LinkId> {
-        let mut r = vec![self.client_socket(client).tx_stack];
-        r.extend(self.fabric.route(client, engine.endpoint));
-        r.push(engine.rx_stack);
-        r
+    /// Interned bulk-data route from `src` to `dst`: the source's tx
+    /// stack link, the fabric route, then the destination's rx stack link.
+    /// Either end is an engine or a client socket, so this serves client
+    /// writes, client reads and engine-to-engine copies alike. Interned
+    /// once per endpoint pair.
+    pub fn stack_route(&self, src: Endpoint, dst: Endpoint) -> RouteId {
+        if let Some(&id) = self.stack_routes.borrow().get(&(src, dst)) {
+            return id;
+        }
+        let mut route = vec![self.stack_links(src).0];
+        route.extend(self.fabric.route(src, dst));
+        route.push(self.stack_links(dst).1);
+        let id = self.fabric.net().intern_route(&route);
+        self.stack_routes.borrow_mut().insert((src, dst), id);
+        id
     }
 
-    /// Route for engine → client bulk data (reads).
-    pub fn read_route(&self, engine: &Engine, client: Endpoint) -> Vec<LinkId> {
-        let mut r = vec![engine.tx_stack];
-        r.extend(self.fabric.route(engine.endpoint, client));
-        r.push(self.client_socket(client).rx_stack);
-        r
+    /// `(tx, rx)` software-stack links of an engine or client endpoint.
+    fn stack_links(&self, ep: Endpoint) -> (LinkId, LinkId) {
+        if ep.node < self.spec.server_nodes {
+            let e = ep.node as usize * self.spec.engines_per_node as usize + ep.socket as usize;
+            (self.engines[e].tx_stack, self.engines[e].rx_stack)
+        } else {
+            let s = self.client_socket(ep);
+            (s.tx_stack, s.rx_stack)
+        }
     }
 
     /// Per-object-region update lock (DTX-leader serialization
@@ -510,13 +524,10 @@ impl Deployment {
         };
         let flow = async {
             if se != de {
-                let mut route = vec![src_engine.tx_stack];
-                route.extend(self.fabric.route(src_engine.endpoint, dst_engine.endpoint));
-                route.push(dst_engine.rx_stack);
-                let cap = self
-                    .fabric
-                    .flow_cap(src_engine.endpoint, dst_engine.endpoint);
-                self.fabric.net().transfer(&route, bytes, cap).await;
+                let (src, dst) = (src_engine.endpoint, dst_engine.endpoint);
+                let route = self.stack_route(src, dst);
+                let cap = self.fabric.flow_cap(src, dst);
+                self.fabric.net().transfer_interned(route, bytes, cap).await;
             }
         };
         type BoxFut<'a> = std::pin::Pin<Box<dyn std::future::Future<Output = ()> + 'a>>;
@@ -713,8 +724,9 @@ mod tests {
         let sim = Sim::new();
         let d = Deployment::new(&sim, ClusterSpec::tcp(1, 1));
         let client = d.client_endpoint(0, 0);
-        let w = d.write_route(client, &d.engines[0]);
-        let r = d.read_route(&d.engines[0], client);
+        let engine = d.engines[0].endpoint;
+        let w = d.fabric.net().route_links(d.stack_route(client, engine));
+        let r = d.fabric.net().route_links(d.stack_route(engine, client));
         // stack + 4 fabric links + stack (same-rail remote route).
         assert_eq!(w.len(), 6);
         assert_eq!(r.len(), 6);

@@ -50,6 +50,10 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 6;
 /// First deadline distance (as `at ^ now`) that no longer fits the wheel.
 const HORIZON: u64 = 1 << (SLOT_BITS as u64 * LEVELS as u64);
+/// Largest slot buffer, in entries, that the wheel recycles. Most slots
+/// hold an entry or two; a burst's larger buffer is freed instead, so it
+/// does not stay pinned in whichever slot it is recycled into.
+const RECYCLE_CAP: usize = 4;
 
 /// One calendar entry.
 struct Entry<T> {
@@ -77,6 +81,9 @@ pub struct TimerWheel<T> {
     /// Same-instant batch drained from a level-0 slot, sorted by `seq`
     /// descending so the next entry pops from the back in O(1).
     due: Vec<Entry<T>>,
+    /// Empty buffer handed to the next cascading slot, so small slot
+    /// buffers are recycled rather than re-grown.
+    spare: Vec<Entry<T>>,
     /// Number of entries across levels, overflow, and the due batch.
     len: usize,
 }
@@ -97,6 +104,7 @@ impl<T> TimerWheel<T> {
             occupied: [0; LEVELS],
             overflow: BTreeMap::new(),
             due: Vec::new(),
+            spare: Vec::new(),
             len: 0,
         }
     }
@@ -207,12 +215,16 @@ impl<T> TimerWheel<T> {
                 continue;
             };
             let slot = self.occupied[level].trailing_zeros() as usize;
-            let entries = std::mem::take(&mut self.levels[level][slot]);
             self.occupied[level] &= !(1 << slot);
             if level == 0 {
-                // One-nanosecond slot: all entries share `at`. Drain it
-                // as the due batch, min seq popping first.
-                self.due = entries;
+                // One-nanosecond slot: all entries share `at`. Swap it
+                // with the empty due buffer, so the slot keeps a small
+                // buffer, and drain it as the due batch, min seq first.
+                debug_assert!(self.due.is_empty());
+                std::mem::swap(&mut self.due, &mut self.levels[0][slot]);
+                if self.levels[0][slot].capacity() > RECYCLE_CAP {
+                    self.levels[0][slot] = Vec::new();
+                }
                 self.due.sort_unstable_by_key(|e| std::cmp::Reverse(e.seq));
                 let e = self.due.pop().expect("occupied slot is non-empty");
                 self.now = e.at;
@@ -228,8 +240,15 @@ impl<T> TimerWheel<T> {
                 (self.now >> (width + SLOT_BITS) << (width + SLOT_BITS)) | ((slot as u64) << width);
             debug_assert!(base >= self.now);
             self.now = base;
-            for e in entries {
+            // Cascade through the spare buffer: the slot takes the
+            // spare, and the drained slot buffer becomes the next spare.
+            let mut entries = std::mem::take(&mut self.spare);
+            std::mem::swap(&mut entries, &mut self.levels[level][slot]);
+            for e in entries.drain(..) {
                 self.insert_wheel(e.at, e.seq, e.item);
+            }
+            if entries.capacity() <= RECYCLE_CAP {
+                self.spare = entries;
             }
         }
     }

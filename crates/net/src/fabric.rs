@@ -252,21 +252,6 @@ impl Fabric {
             .transfer_interned(self.route_id(src, dst), bytes, cap)
     }
 
-    /// Bulk transfer over the raw route extended with caller-provided
-    /// links (software-stack capacities etc.).
-    pub fn transfer_via(
-        &self,
-        src: Endpoint,
-        dst: Endpoint,
-        extra: &[LinkId],
-        bytes: u64,
-    ) -> OneshotReceiver<()> {
-        let mut route = self.route(src, dst);
-        route.extend_from_slice(extra);
-        let cap = self.flow_cap(src, dst);
-        self.net.transfer(&route, bytes, cap)
-    }
-
     pub fn msg_latency(&self) -> SimDuration {
         self.spec.provider.msg_latency
     }

@@ -23,12 +23,21 @@
 //! route, a cap and a cap group with many others, and max-min fairness
 //! gives identical flows identical rates. The solver therefore works on
 //! **route-equivalence classes** — the distinct `(route, cap, group)`
-//! combinations — rather than individual flows, so one progressive-filling
-//! pass costs `O(classes × links)` per freezing round instead of
-//! `O(flows × links)`. Routes are interned ([`RouteId`]) so class lookup
-//! is a hash of three words, flows live in a generational slab rather than
-//! an ordered map, and all solver working sets are reusable scratch
-//! buffers: the settle path performs no per-event allocation.
+//! combinations — rather than individual flows. Routes are interned
+//! ([`RouteId`]) so class lookup is a hash of three words, and flows live
+//! in a generational slab rather than an ordered map.
+//!
+//! A deployment interns hundreds of classes over hundreds of links, but
+//! only a few dozen classes on a few dozen links carry traffic at any
+//! instant. Every arrival and departure therefore keeps the *live* state
+//! current in O(route): the live classes (sorted by index), each link's
+//! live load and the list of loaded links. A settle then costs
+//! O(flows) for one sweep over the slab — advance, retire and per-class
+//! soonest completion in a single pass — plus, when membership changed,
+//! progressive filling over the live classes and loaded links only:
+//! O(loaded links + Σ live routes) per round, with one division per link
+//! whose residual changed. Each class caches its effective cap until its
+//! cap group's count changes.
 //!
 //! Same-instant arrivals coalesce: `transfer` only queues one settle event
 //! per instant, so a batch of N transfers issued at one tick triggers a
@@ -124,11 +133,17 @@ pub struct SolverStats {
     /// Rate recomputations actually performed (≤ `settles`; clean settles
     /// skip the solver entirely).
     pub recomputes: u64,
+    /// Progressive-filling rounds run by the class solver, each freezing
+    /// the classes bound at one fair-share level.
+    pub fill_rounds: u64,
 }
 
 struct Flow {
     class: u32,
     remaining: f64, // bytes
+    /// Started at the current instant, after the last sweep: owes
+    /// nothing for the interval the next sweep covers.
+    fresh: bool,
     done: Option<OneshotSender<()>>,
     /// Open "net" span, closed when the flow drains.
     span: Option<SpanId>,
@@ -144,10 +159,19 @@ struct Slot {
 struct Class {
     route: RouteId,
     cap: FlowCap,
+    /// Dense id of the cap group, if any.
+    group: Option<u32>,
     /// Live flows currently in the class.
     active: u32,
     /// Per-flow rate in bytes/s, set by the last recompute.
     rate: f64,
+    /// Per-flow cap in bytes/s with group scaling applied.
+    eff_cap: f64,
+    /// Group count `eff_cap` was scaled for (0 until first scaled).
+    eff_cap_count: u32,
+    /// Smallest remaining byte count among the members, refreshed by
+    /// every settle sweep.
+    soonest: f64,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,19 +191,39 @@ impl ClassKey {
     }
 }
 
+struct Link {
+    /// Capacity in bytes/s.
+    cap: f64,
+    /// Live flows crossing the link (a route crossing it twice counts
+    /// twice, as in the fair-share arithmetic).
+    load: u32,
+    /// Index in [`Inner::loaded`] while `load > 0`.
+    pos: u32,
+}
+
+/// Per-link progressive-filling state of one recompute.
+#[derive(Clone, Copy, Default)]
+struct Fill {
+    residual: f64,
+    /// Flows on the link not yet frozen.
+    members: u32,
+    /// `residual / members`, refreshed whenever either changes.
+    share: f64,
+}
+
 /// Reusable solver working sets; cleared, never reallocated, per settle.
 #[derive(Default)]
 struct Scratch {
-    residual: Vec<f64>,
-    link_count: Vec<u32>,
-    eff_cap: Vec<f64>,
+    fill: Vec<Fill>,
     unfrozen: Vec<u32>,
     still: Vec<u32>,
     finished: Vec<(OneshotSender<()>, Option<SpanId>)>,
 }
 
 struct Inner {
-    links: Vec<f64>, // capacity in bytes/s
+    links: Vec<Link>,
+    /// Links with `load > 0`, unordered.
+    loaded: Vec<u32>,
     slots: Vec<Slot>,
     free: Vec<u32>,
     active: usize,
@@ -187,7 +231,11 @@ struct Inner {
     route_index: HashMap<Rc<[LinkId]>, RouteId>,
     classes: Vec<Class>,
     class_index: HashMap<ClassKey, u32>,
-    group_counts: HashMap<u64, u32>,
+    /// Classes with `active > 0`, ascending.
+    live: Vec<u32>,
+    group_ids: HashMap<u64, u32>,
+    /// Live flows per dense cap-group id.
+    group_counts: Vec<u32>,
     last_update: SimTime,
     /// Cumulative bytes delivered, for debugging/accounting.
     delivered: f64,
@@ -244,6 +292,7 @@ impl FlowNet {
             sim: sim.clone(),
             inner: Rc::new(RefCell::new(Inner {
                 links: Vec::new(),
+                loaded: Vec::new(),
                 slots: Vec::new(),
                 free: Vec::new(),
                 active: 0,
@@ -251,7 +300,9 @@ impl FlowNet {
                 route_index: HashMap::new(),
                 classes: Vec::new(),
                 class_index: HashMap::new(),
-                group_counts: HashMap::new(),
+                live: Vec::new(),
+                group_ids: HashMap::new(),
+                group_counts: Vec::new(),
                 last_update: SimTime::ZERO,
                 delivered: 0.0,
                 dirty: false,
@@ -272,7 +323,12 @@ impl FlowNet {
         assert!(cap_gib > 0.0, "link capacity must be positive");
         let mut inner = self.inner.borrow_mut();
         let id = LinkId(inner.links.len() as u32);
-        inner.links.push(cap_gib * GIB);
+        inner.links.push(Link {
+            cap: cap_gib * GIB,
+            load: 0,
+            pos: 0,
+        });
+        inner.scratch.fill.push(Fill::default());
         id
     }
 
@@ -288,8 +344,9 @@ impl FlowNet {
             let mut inner = self.inner.borrow_mut();
             let slot = link.0 as usize;
             assert!(slot < inner.links.len(), "unknown link {link:?}");
-            inner.advance_to(now);
-            inner.links[slot] = cap_gib * GIB;
+            // Rates only change at the recompute, after the queued
+            // settle's sweep has drained everyone to `now` at the old ones.
+            inner.links[slot].cap = cap_gib * GIB;
             inner.dirty = true;
             queue_settle = !inner.settle_queued;
             inner.settle_queued = true;
@@ -302,7 +359,7 @@ impl FlowNet {
 
     /// Current capacity of `link` in GiB/s.
     pub fn link_capacity(&self, link: LinkId) -> f64 {
-        self.inner.borrow().links[link.0 as usize] / GIB
+        self.inner.borrow().links[link.0 as usize].cap / GIB
     }
 
     pub fn link_count(&self) -> usize {
@@ -313,12 +370,25 @@ impl FlowNet {
         self.inner.borrow().active
     }
 
-    /// Total bytes delivered by completed and in-progress flows.
+    /// Total bytes delivered by completed and in-progress flows. Reads
+    /// the in-progress part without moving any flow's state, so calling
+    /// it never perturbs the run.
     pub fn bytes_delivered(&self) -> f64 {
-        let mut inner = self.inner.borrow_mut();
-        let now = self.sim.now();
-        inner.advance_to(now);
-        inner.delivered
+        let inner = self.inner.borrow();
+        let dt = self
+            .sim
+            .now()
+            .saturating_duration_since(inner.last_update)
+            .as_secs_f64();
+        let pending = inner
+            .slots
+            .iter()
+            .filter_map(|s| s.flow.as_ref())
+            .filter(|f| !f.fresh)
+            .fold(0.0, |moved, f| {
+                moved + (inner.classes[f.class as usize].rate * dt).min(f.remaining)
+            });
+        inner.delivered + pending
     }
 
     /// Settle-path counters (see [`SolverStats`]).
@@ -373,12 +443,10 @@ impl FlowNet {
                 tx.send(());
                 return rx;
             }
-            inner.advance_to(now);
+            // No advance here: the flow is marked fresh instead, and the
+            // settle queued for this instant advances everyone else.
             let class = inner.class_for(route, cap);
-            if let Some(g) = cap.group {
-                *inner.group_counts.entry(g).or_insert(0) += 1;
-            }
-            inner.classes[class as usize].active += 1;
+            inner.join(class);
             // Leaf span: the admit side runs in the issuing task (so the
             // span parents under its open op span), but the end fires in
             // a settle event once the last byte drains.
@@ -392,6 +460,7 @@ impl FlowNet {
             inner.insert_flow(Flow {
                 class,
                 remaining: bytes as f64,
+                fresh: true,
                 done: Some(tx),
                 span,
             });
@@ -416,9 +485,8 @@ impl FlowNet {
             let mut inner = self.inner.borrow_mut();
             inner.settle_queued = false;
             inner.stats.settles += 1;
-            inner.advance_to(now);
             let mut finished = std::mem::take(&mut inner.scratch.finished);
-            inner.drain_completed(&mut finished);
+            inner.sweep(now, &mut finished);
             if inner.dirty {
                 inner.recompute();
                 inner.stats.recomputes += 1;
@@ -506,15 +574,72 @@ impl Inner {
         if let Some(&c) = self.class_index.get(&key) {
             return c;
         }
+        let group = cap.group.map(|g| {
+            let next = self.group_ids.len() as u32;
+            *self.group_ids.entry(g).or_insert_with(|| {
+                self.group_counts.push(0);
+                next
+            })
+        });
         let id = self.classes.len() as u32;
         self.classes.push(Class {
             route,
             cap,
+            group,
             active: 0,
             rate: 0.0,
+            eff_cap: cap.base_gib * GIB,
+            eff_cap_count: 0,
+            soonest: f64::INFINITY,
         });
         self.class_index.insert(key, id);
         id
+    }
+
+    /// Counts one more live flow in `class`: its group, its route's link
+    /// loads and, on its first member, the live-class list.
+    fn join(&mut self, class: u32) {
+        let c = &mut self.classes[class as usize];
+        c.active += 1;
+        if c.active == 1 {
+            let at = self.live.binary_search(&class).unwrap_err();
+            self.live.insert(at, class);
+        }
+        if let Some(g) = c.group {
+            self.group_counts[g as usize] += 1;
+        }
+        for l in self.routes[c.route.0 as usize].iter() {
+            let link = &mut self.links[l.0 as usize];
+            link.load += 1;
+            if link.load == 1 {
+                link.pos = self.loaded.len() as u32;
+                self.loaded.push(l.0);
+            }
+        }
+    }
+
+    /// Undoes one [`Inner::join`].
+    fn leave(&mut self, class: u32) {
+        let c = &mut self.classes[class as usize];
+        c.active -= 1;
+        if c.active == 0 {
+            let at = self.live.binary_search(&class).expect("live class");
+            self.live.remove(at);
+        }
+        if let Some(g) = c.group {
+            self.group_counts[g as usize] -= 1;
+        }
+        for l in self.routes[c.route.0 as usize].iter() {
+            let link = &mut self.links[l.0 as usize];
+            link.load -= 1;
+            if link.load == 0 {
+                let pos = link.pos as usize;
+                self.loaded.swap_remove(pos);
+                if let Some(&moved) = self.loaded.get(pos) {
+                    self.links[moved as usize].pos = pos as u32;
+                }
+            }
+        }
     }
 
     fn insert_flow(&mut self, flow: Flow) -> FlowId {
@@ -535,69 +660,61 @@ impl Inner {
         }
     }
 
-    /// Drains `rate * dt` bytes from each flow up to `now`.
-    fn advance_to(&mut self, now: SimTime) {
+    /// The settle pass: advances every flow to `now`, retires the drained
+    /// ones (collecting their completion senders in slot order, so
+    /// same-instant completions fire deterministically) and records each
+    /// surviving class's smallest remaining byte count for
+    /// [`Inner::next_completion`].
+    fn sweep(&mut self, now: SimTime, finished: &mut Vec<(OneshotSender<()>, Option<SpanId>)>) {
         let dt = now
             .saturating_duration_since(self.last_update)
             .as_secs_f64();
         self.last_update = now;
-        if dt == 0.0 || self.active == 0 {
+        for &c in &self.live {
+            self.classes[c as usize].soonest = f64::INFINITY;
+        }
+        if self.active == 0 {
             return;
         }
-        let Inner { slots, classes, .. } = self;
         let mut moved = 0.0;
-        for slot in slots.iter_mut() {
-            if let Some(f) = &mut slot.flow {
-                let d = (classes[f.class as usize].rate * dt).min(f.remaining);
+        for idx in 0..self.slots.len() {
+            let Some(f) = &mut self.slots[idx].flow else {
+                continue;
+            };
+            let class = &mut self.classes[f.class as usize];
+            if !std::mem::take(&mut f.fresh) && dt > 0.0 {
+                let d = (class.rate * dt).min(f.remaining);
                 f.remaining -= d;
                 moved += d;
+            }
+            if f.remaining > DRAIN_EPS {
+                class.soonest = class.soonest.min(f.remaining);
+                continue;
+            }
+            let slot = &mut self.slots[idx];
+            let mut f = slot.flow.take().expect("checked above");
+            slot.generation = slot.generation.wrapping_add(1);
+            self.free.push(idx as u32);
+            self.active -= 1;
+            self.dirty = true;
+            self.leave(f.class);
+            if let Some(tx) = f.done.take() {
+                finished.push((tx, f.span.take()));
             }
         }
         self.delivered += moved;
     }
 
-    /// Removes every drained flow, collecting its completion sender.
-    /// Scans slots in index order so same-instant completions fire
-    /// deterministically.
-    fn drain_completed(&mut self, finished: &mut Vec<(OneshotSender<()>, Option<SpanId>)>) {
-        if self.active == 0 {
-            return;
-        }
-        for idx in 0..self.slots.len() {
-            match &self.slots[idx].flow {
-                Some(f) if f.remaining <= DRAIN_EPS => {}
-                _ => continue,
-            }
-            let mut f = self.slots[idx].flow.take().expect("checked above");
-            self.slots[idx].generation = self.slots[idx].generation.wrapping_add(1);
-            self.free.push(idx as u32);
-            self.active -= 1;
-            self.dirty = true;
-            let class = &mut self.classes[f.class as usize];
-            class.active -= 1;
-            if let Some(g) = class.cap.group {
-                let c = self.group_counts.get_mut(&g).expect("group count missing");
-                *c -= 1;
-                if *c == 0 {
-                    self.group_counts.remove(&g);
-                }
-            }
-            if let Some(tx) = f.done.take() {
-                finished.push((tx, f.span.take()));
-            }
-        }
-    }
-
-    /// Earliest completion instant across active flows, if any.
+    /// Earliest completion instant across active flows, if any. A class's
+    /// members share one rate, so its soonest member finishes first:
+    /// `soonest / rate` is bit for bit the per-flow minimum.
     fn next_completion(&self, now: SimTime) -> Option<SimTime> {
         let mut best: Option<f64> = None;
-        for slot in &self.slots {
-            if let Some(f) = &slot.flow {
-                let rate = self.classes[f.class as usize].rate;
-                debug_assert!(rate > 0.0, "flow starved by zero rate");
-                let t = f.remaining.max(0.0) / rate;
-                best = Some(best.map_or(t, |b| b.min(t)));
-            }
+        for &c in &self.live {
+            let c = &self.classes[c as usize];
+            debug_assert!(c.rate > 0.0, "flow starved by zero rate");
+            let t = c.soonest / c.rate;
+            best = Some(best.map_or(t, |b| b.min(t)));
         }
         best.map(|secs| now + SimDuration::from_secs_f64(secs))
     }
@@ -618,104 +735,100 @@ impl Inner {
         self.recompute_classes();
     }
 
-    /// Progressive-filling max-min fairness over route-equivalence
-    /// classes.
+    /// Progressive-filling max-min fairness over the live
+    /// route-equivalence classes and the loaded links.
     ///
-    /// Repeatedly finds the tightest constraint — either a link's equal
-    /// share among its unfrozen flows or a class's per-flow cap — freezes
-    /// the classes bound by it, and subtracts their members' rates from
-    /// link residuals. Because all flows of a class are symmetric they
-    /// freeze together, so this terminates in at most `#classes`
-    /// iterations and never touches individual flows.
+    /// Each round finds the tightest constraint — either a link's equal
+    /// share among its unfrozen flows or a class's per-flow cap — then
+    /// visits the unfrozen classes in ascending index order, freezing
+    /// each one bound at that level (capped, or crossing a link whose
+    /// *current* share is the level) and subtracting its members' rates
+    /// from its links' residuals. Because all flows of a class are
+    /// symmetric they freeze together, so this terminates in at most
+    /// `#live classes` rounds and never touches individual flows. Link
+    /// shares are cached and refreshed only when a freeze changes them.
     fn recompute_classes(&mut self) {
         let Inner {
             links,
+            loaded,
             routes,
             classes,
+            live,
             group_counts,
+            stats,
             scratch,
             ..
         } = self;
         let Scratch {
-            residual,
-            link_count,
-            eff_cap,
+            fill,
             unfrozen,
             still,
             ..
         } = scratch;
-        let nl = links.len();
-        residual.clear();
-        residual.extend_from_slice(links);
-        link_count.clear();
-        link_count.resize(nl, 0);
-        eff_cap.clear();
-        eff_cap.resize(classes.len(), f64::INFINITY);
+        for &l in loaded.iter() {
+            let link = &links[l as usize];
+            let residual = link.cap;
+            fill[l as usize] = Fill {
+                residual,
+                members: link.load,
+                share: residual / link.load as f64,
+            };
+        }
+        // Group scaling is applied once per group-count change.
         unfrozen.clear();
-
-        // Effective per-flow caps (group scaling applied once up front)
-        // and per-link member counts.
-        for (ci, c) in classes.iter_mut().enumerate() {
-            if c.active == 0 {
-                c.rate = 0.0;
-                continue;
+        for &ci in live.iter() {
+            let c = &mut classes[ci as usize];
+            if let (Some(g), true) = (c.group, c.cap.alpha > 0.0) {
+                let n = group_counts[g as usize];
+                if n != c.eff_cap_count {
+                    c.eff_cap_count = n;
+                    c.eff_cap = c.cap.base_gib * GIB * (n as f64).powf(-c.cap.alpha);
+                }
             }
-            let mut cap = c.cap.base_gib * GIB;
-            if let (Some(g), true) = (c.cap.group, c.cap.alpha > 0.0) {
-                let n = *group_counts.get(&g).unwrap_or(&1) as f64;
-                cap *= n.powf(-c.cap.alpha);
-            }
-            eff_cap[ci] = cap;
-            for l in routes[c.route.0 as usize].iter() {
-                link_count[l.0 as usize] += c.active;
-            }
-            unfrozen.push(ci as u32);
+            unfrozen.push(ci);
         }
 
         while !unfrozen.is_empty() {
+            stats.fill_rounds += 1;
             // Tightest link share.
             let mut level = f64::INFINITY;
-            for l in 0..nl {
-                if link_count[l] > 0 {
-                    level = level.min(residual[l] / link_count[l] as f64);
+            for &l in loaded.iter() {
+                let f = &fill[l as usize];
+                if f.members > 0 {
+                    level = level.min(f.share);
                 }
             }
             // Tightest class cap.
             for &ci in unfrozen.iter() {
-                level = level.min(eff_cap[ci as usize]);
+                level = level.min(classes[ci as usize].eff_cap);
             }
             assert!(
                 level.is_finite() && level > 0.0,
                 "progressive filling found no finite positive level"
             );
             let tol = level * (1.0 + 1e-9);
-            // Freeze every class bound at this level: either its cap is
-            // the level, or its route crosses a link whose fair share is
-            // the level.
             still.clear();
-            let mut froze_any = false;
             for &ci in unfrozen.iter() {
-                let ci = ci as usize;
-                let (route, members) = (classes[ci].route, classes[ci].active);
-                let route = &routes[route.0 as usize];
-                let capped = eff_cap[ci] <= tol;
-                let link_bound = route
-                    .iter()
-                    .any(|l| residual[l.0 as usize] / link_count[l.0 as usize] as f64 <= tol);
-                if capped || link_bound {
-                    let rate = if capped { eff_cap[ci] } else { level };
-                    for l in route.iter() {
-                        let li = l.0 as usize;
-                        residual[li] = (residual[li] - rate * members as f64).max(0.0);
-                        link_count[li] -= members;
-                    }
-                    classes[ci].rate = rate;
-                    froze_any = true;
-                } else {
-                    still.push(ci as u32);
+                let c = &mut classes[ci as usize];
+                let route = &routes[c.route.0 as usize];
+                let capped = c.eff_cap <= tol;
+                if !capped && !route.iter().any(|l| fill[l.0 as usize].share <= tol) {
+                    still.push(ci);
+                    continue;
                 }
+                let rate = if capped { c.eff_cap } else { level };
+                for l in route.iter() {
+                    let f = &mut fill[l.0 as usize];
+                    f.residual = (f.residual - rate * c.active as f64).max(0.0);
+                    f.members -= c.active;
+                    f.share = f.residual / f.members as f64;
+                }
+                c.rate = rate;
             }
-            assert!(froze_any, "progressive filling made no progress");
+            assert!(
+                still.len() < unfrozen.len(),
+                "progressive filling made no progress"
+            );
             std::mem::swap(unfrozen, still);
         }
     }
@@ -727,7 +840,7 @@ impl Inner {
     #[cfg(any(test, feature = "naive-flow"))]
     fn naive_rates(&self) -> Vec<(u32, f64)> {
         let nl = self.links.len();
-        let mut residual = self.links.clone();
+        let mut residual: Vec<f64> = self.links.iter().map(|l| l.cap).collect();
         let mut link_count = vec![0u32; nl];
         let mut eff_cap: HashMap<u32, f64> = HashMap::new();
         let mut unfrozen: Vec<u32> = Vec::new();
@@ -735,8 +848,8 @@ impl Inner {
             let Some(f) = &slot.flow else { continue };
             let c = &self.classes[f.class as usize];
             let mut cap = c.cap.base_gib * GIB;
-            if let (Some(g), true) = (c.cap.group, c.cap.alpha > 0.0) {
-                let n = *self.group_counts.get(&g).unwrap_or(&1) as f64;
+            if let (Some(g), true) = (c.group, c.cap.alpha > 0.0) {
+                let n = self.group_counts[g as usize] as f64;
                 cap *= n.powf(-c.cap.alpha);
             }
             eff_cap.insert(idx as u32, cap);
@@ -1096,6 +1209,49 @@ mod tests {
             "expected coalesced settles, got {stats:?}"
         );
         assert!(stats.recomputes <= stats.settles);
+    }
+
+    #[test]
+    fn live_state_tracks_arrivals_and_departures() {
+        // Two grouped flows share a class; a third crosses the same link
+        // twice. Mid-run the live lists hold exactly what carries
+        // traffic; at quiescence every count is back to zero.
+        let sim = Sim::new();
+        let net = FlowNet::new(&sim);
+        let (a, b) = (net.add_link(4.0), net.add_link(8.0));
+        net.add_link(1.0); // never loaded
+        let cap = FlowCap {
+            base_gib: 2.0,
+            group: Some(3),
+            alpha: 0.5,
+        };
+        {
+            let net = net.clone();
+            sim.spawn(async move {
+                let x = net.transfer(&[a, b], GIB as u64, cap);
+                let y = net.transfer(&[a, b], GIB as u64, cap);
+                let z = net.transfer(&[b, a, b], GIB as u64, FlowCap::unlimited());
+                {
+                    let inner = net.inner.borrow();
+                    assert_eq!(inner.live, vec![0, 1]);
+                    let mut loaded = inner.loaded.clone();
+                    loaded.sort_unstable();
+                    assert_eq!(loaded, vec![a.0, b.0]);
+                    let loads: Vec<u32> = inner.links.iter().map(|l| l.load).collect();
+                    assert_eq!(loads, vec![3, 4, 0]);
+                    assert_eq!(inner.group_counts, vec![2]);
+                }
+                x.await;
+                y.await;
+                z.await;
+            });
+        }
+        sim.run().expect_quiescent();
+        let inner = net.inner.borrow();
+        assert!(inner.live.is_empty() && inner.loaded.is_empty());
+        assert!(inner.links.iter().all(|l| l.load == 0));
+        assert_eq!(inner.group_counts, vec![0]);
+        assert!(inner.stats.fill_rounds > 0);
     }
 
     #[test]
